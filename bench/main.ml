@@ -19,6 +19,7 @@ module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
+module Topology = Usched_model.Topology
 module Rng = Usched_prng.Rng
 module Engine = Usched_desim.Engine
 module Dispatch = Usched_desim.Dispatch
@@ -301,6 +302,34 @@ let benches () =
        (Staged.stage (fun () ->
             ignore (Core.Multifit.makespan ~m:10_000 big_weights))));
   ]
+  (* Reporting rows: the aggregates [usched solve] prints or traces
+     after the two phases, at the solve-batch size of the end-to-end
+     benchmark (n=2.5e4, m=1000, ls-group:2, 500 replicas per task). *)
+  @ (let report = bench_instance ~n:25_000 ~m:1000 in
+     let placement, schedule =
+       Core.Two_phase.run_full
+         (strat ~m:1000 Strategy.(group ~order:Ls ~k:2))
+         report
+         (Realization.uniform_factor report (Rng.create ~seed:19 ()))
+     in
+     let sizes = Instance.sizes report in
+     let cost name topology =
+       Test.make
+         ~name:(Printf.sprintf "report/replication_cost %s (n=25k,m=1k)" name)
+         (Staged.stage (fun () ->
+              ignore
+                (Core.Placement.replication_cost placement ~topology ~sizes)))
+     in
+     [
+       Test.make ~name:"report/memory_max (n=25k,m=1k)"
+         (Staged.stage (fun () ->
+              ignore (Core.Placement.memory_max placement ~sizes)));
+       cost "uniform" (Topology.uniform ~m:1000);
+       cost "zones:4" (Topology.zoned ~m:1000 ~zones:4 ~bandwidth:10.0 ());
+       Test.make ~name:"report/render_stats (n=25k,m=1k)"
+         (Staged.stage (fun () ->
+              ignore (Usched_desim.Timeline.render_stats schedule)));
+     ])
   @ List.map
       (fun policy ->
         Test.make

@@ -549,6 +549,23 @@ let solve_cmd =
     let placement, schedule = Core.Two_phase.run_full algo instance realization in
     let lb = Core.Lower_bounds.best ~m (Model.Realization.actuals realization) in
     let healthy = Usched_desim.Schedule.makespan schedule in
+    let sizes = Model.Instance.sizes instance in
+    let mem_max = Core.Placement.memory_max placement ~sizes in
+    (match
+       Core.Two_phase.check_report ~n ~cmax:healthy ~lower_bound:lb ~mem_max
+     with
+    | Ok () -> ()
+    | Error reason ->
+        Printf.eprintf "usched: %s: %s\n" file reason;
+        exit 2);
+    (* The transfer bill is O(Σ|M_j|) off a uniform topology: computed at
+       most once, and only for the trace or the topology line. *)
+    let replication_cost =
+      lazy
+        (Core.Placement.replication_cost placement
+           ~topology:(Model.Instance.topology_or_uniform instance)
+           ~sizes)
+    in
     let with_sink f =
       match trace_path with
       | None -> f None
@@ -557,81 +574,76 @@ let solve_cmd =
     with_sink @@ fun sink ->
     let tracing = sink <> None in
     let emit json = match sink with None -> () | Some s -> Sink.emit s json in
-    emit
-      (Json.Obj
-         [
-           ("type", Json.String "meta");
-           ("tool", Json.String "usched solve");
-           ("file", Json.String file);
-           ("algo", Json.String algo.Core.Two_phase.name);
-           ("algo_spec", Json.String (Core.Strategy.to_string spec));
-           ("seed", Json.Int seed);
-           ("n", Json.Int n);
-           ("m", Json.Int m);
-           ("fail_rate", Json.float fail_rate);
-           ( "speeds",
-             match speeds with
-             | None -> Json.Null
-             | Some a ->
-                 Json.List (Array.to_list (Array.map Json.float a)) );
-           ( "speed_band",
-             match band with
-             | None -> Json.Null
-             | Some b -> Json.String (Model.Speed_band.to_string b) );
-           ( "topology",
-             match topo with
-             | None -> Json.Null
-             | Some t -> Json.String (Model.Topology.to_string t) );
-           ( "topology_zones",
-             match topo with
-             | None -> Json.Null
-             | Some t -> Json.Int (Model.Topology.zones t) );
-           ( "replication_cost",
-             Json.float
-               (Core.Placement.replication_cost placement
-                  ~topology:(Model.Instance.topology_or_uniform instance)
-                  ~sizes:(Model.Instance.sizes instance)) );
-           ("policy", Json.String (Usched_desim.Dispatch.name policy));
-           ("stream", Json.Bool stream);
-           ( "arrival",
-             if stream then
-               Json.String (Usched_desim.Arrival.describe arrival)
-             else Json.Null );
-           ( "speculate",
-             match speculate with None -> Json.Null | Some b -> Json.float b );
-           ( "recovery",
-             if Usched_faults.Recovery.is_none recovery then Json.Null
-             else
-               Json.Obj
-                 [
-                   ( "detection_latency",
-                     Json.float recovery.Usched_faults.Recovery.detection_latency
-                   );
-                   ( "rereplication_target",
-                     match recovery.Usched_faults.Recovery.rereplication_target
-                     with
-                     | Usched_faults.Recovery.Fixed r -> Json.Int r
-                     | Usched_faults.Recovery.Degree -> Json.String "degree" );
-                   (* [Json.float infinity] is [Null]: JSON has no inf. *)
-                   ("bandwidth", Json.float recovery.Usched_faults.Recovery.bandwidth);
-                   ( "checkpoint_interval",
-                     Json.float recovery.Usched_faults.Recovery.checkpoint_interval
-                   );
-                 ] );
-         ]);
+    if tracing then
+      emit
+        (Json.Obj
+           [
+             ("type", Json.String "meta");
+             ("tool", Json.String "usched solve");
+             ("file", Json.String file);
+             ("algo", Json.String algo.Core.Two_phase.name);
+             ("algo_spec", Json.String (Core.Strategy.to_string spec));
+             ("seed", Json.Int seed);
+             ("n", Json.Int n);
+             ("m", Json.Int m);
+             ("fail_rate", Json.float fail_rate);
+             ( "speeds",
+               match speeds with
+               | None -> Json.Null
+               | Some a ->
+                   Json.List (Array.to_list (Array.map Json.float a)) );
+             ( "speed_band",
+               match band with
+               | None -> Json.Null
+               | Some b -> Json.String (Model.Speed_band.to_string b) );
+             ( "topology",
+               match topo with
+               | None -> Json.Null
+               | Some t -> Json.String (Model.Topology.to_string t) );
+             ( "topology_zones",
+               match topo with
+               | None -> Json.Null
+               | Some t -> Json.Int (Model.Topology.zones t) );
+             ("replication_cost", Json.float (Lazy.force replication_cost));
+             ("policy", Json.String (Usched_desim.Dispatch.name policy));
+             ("stream", Json.Bool stream);
+             ( "arrival",
+               if stream then
+                 Json.String (Usched_desim.Arrival.describe arrival)
+               else Json.Null );
+             ( "speculate",
+               match speculate with None -> Json.Null | Some b -> Json.float b );
+             ( "recovery",
+               if Usched_faults.Recovery.is_none recovery then Json.Null
+               else
+                 Json.Obj
+                   [
+                     ( "detection_latency",
+                       Json.float recovery.Usched_faults.Recovery.detection_latency
+                     );
+                     ( "rereplication_target",
+                       match recovery.Usched_faults.Recovery.rereplication_target
+                       with
+                       | Usched_faults.Recovery.Fixed r -> Json.Int r
+                       | Usched_faults.Recovery.Degree -> Json.String "degree" );
+                     (* [Json.float infinity] is [Null]: JSON has no inf. *)
+                     ("bandwidth", Json.float recovery.Usched_faults.Recovery.bandwidth);
+                     ( "checkpoint_interval",
+                       Json.float recovery.Usched_faults.Recovery.checkpoint_interval
+                     );
+                   ] );
+           ]);
     Printf.printf
       "%s on %s: C_max = %.4f (lower bound %.4f, ratio <= %.4f)\n\
        replicas/task max %d, Mem_max %.4f\n"
       algo.Core.Two_phase.name file healthy lb (healthy /. lb)
       (Core.Placement.max_replication placement)
-      (Core.Placement.memory_max placement ~sizes:(Model.Instance.sizes instance));
+      mem_max;
     (match topo with
     | None -> ()
     | Some t ->
         Printf.printf "topology: %d zones, replication transfer cost %.4f\n"
-          (Model.Topology.zones t)
-          (Core.Placement.replication_cost placement ~topology:t
-             ~sizes:(Model.Instance.sizes instance)));
+          (Model.Topology.zones t) (Lazy.force replication_cost));
     if gantt then print_string (Usched_desim.Gantt.render schedule);
     print_string (Usched_desim.Timeline.render_stats schedule);
     (match speeds with

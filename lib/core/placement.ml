@@ -34,7 +34,7 @@ let allowed t ~task ~machine = Bitset.mem t.sets.(task) machine
 let replication t j = Bitset.cardinal t.sets.(j)
 
 let max_replication t =
-  Array.fold_left (fun acc set -> Stdlib.max acc (Bitset.cardinal set)) 0 t.sets
+  Array.fold_left (fun acc set -> Int.max acc (Bitset.cardinal set)) 0 t.sets
 
 let degrees t = Array.map Bitset.cardinal t.sets
 
@@ -44,17 +44,19 @@ let total_replicas t =
 let memory_loads t ~sizes =
   if Array.length sizes <> Array.length t.sets then
     invalid_arg "Placement.memory_loads: sizes length mismatch";
-  let loads = Array.make t.m 0.0 in
-  Array.iteri
-    (fun j set ->
-      Bitset.iter (fun i -> loads.(i) <- loads.(i) +. sizes.(j)) set)
-    t.sets;
-  loads
+  Bitset.accumulate ~capacity:t.m t.sets sizes
 
+(* A for-loop, not [Array.fold_left]: the generic fold boxes every
+   float it hands to its closure. *)
 let memory_max t ~sizes =
-  Array.fold_left Float.max 0.0 (memory_loads t ~sizes)
+  let loads = memory_loads t ~sizes in
+  let best = Array.make 1 0.0 in
+  for i = 0 to Array.length loads - 1 do
+    best.(0) <- Float.max best.(0) loads.(i)
+  done;
+  best.(0)
 
-let replication_costs t ~topology ~sizes =
+let check_cost_args t ~topology ~sizes =
   if Array.length sizes <> Array.length t.sets then
     invalid_arg "Placement.replication_costs: sizes length mismatch";
   if Topology.m topology <> t.m then
@@ -62,22 +64,37 @@ let replication_costs t ~topology ~sizes =
       (Printf.sprintf
          "Placement.replication_costs: topology covers %d machines, placement \
           has %d"
-         (Topology.m topology) t.m);
-  Array.mapi
-    (fun j set ->
-      let home = j mod t.m in
-      let acc = Array.make 1 0.0 in
-      Bitset.iter
-        (fun i ->
-          acc.(0) <-
-            acc.(0) +. Topology.staging_time topology ~src:home ~dst:i
-                         ~size:sizes.(j))
-        set;
-      acc.(0))
-    t.sets
+         (Topology.m topology) t.m)
 
+let replication_costs t ~topology ~sizes =
+  check_cost_args t ~topology ~sizes;
+  (* A same-zone member costs exactly [0.0], and adding [0.0] to a
+     non-negative sum leaves it unchanged, so skipping those members
+     (all of them on a uniform topology) keeps every sum bit-identical. *)
+  if Topology.is_uniform topology then Array.make (Array.length t.sets) 0.0
+  else
+    Array.mapi
+      (fun j set ->
+        let home = j mod t.m in
+        let acc = Array.make 1 0.0 in
+        Bitset.iter
+          (fun i ->
+            if not (Topology.same_zone topology home i) then
+              acc.(0) <-
+                acc.(0) +. Topology.staging_time topology ~src:home ~dst:i
+                             ~size:sizes.(j))
+          set;
+        acc.(0))
+      t.sets
+
+(* On a uniform topology the sum of exact zeros is [0.0]: answered
+   without building the per-task array. *)
 let replication_cost t ~topology ~sizes =
-  Array.fold_left ( +. ) 0.0 (replication_costs t ~topology ~sizes)
+  if Topology.is_uniform topology then begin
+    check_cost_args t ~topology ~sizes;
+    0.0
+  end
+  else Array.fold_left ( +. ) 0.0 (replication_costs t ~topology ~sizes)
 
 let without_machines t lost =
   List.iter
@@ -139,7 +156,7 @@ let survivors t ~task ~alive =
 
 let min_replication t =
   Array.fold_left
-    (fun acc set -> Stdlib.min acc (Bitset.cardinal set))
+    (fun acc set -> Int.min acc (Bitset.cardinal set))
     t.m t.sets
 
 let survives_failures t ~f =

@@ -33,3 +33,19 @@ let submission_order_phase2 instance placement realization =
   engine_phase2
     ~order:(fun inst -> Array.init (Instance.n inst) (fun j -> j))
     instance placement realization
+
+let check_report ~n ~cmax ~lower_bound ~mem_max =
+  let not_finite what x =
+    Error
+      (Printf.sprintf "%s is not finite (%g): the times or sizes overflow" what x)
+  in
+  if n = 0 then Error "instance has no tasks"
+  else if not (Float.is_finite cmax) then not_finite "C_max" cmax
+  else if not (Float.is_finite lower_bound) then
+    not_finite "lower bound" lower_bound
+  else if not (Float.is_finite mem_max) then not_finite "Mem_max" mem_max
+  else if not (Float.is_finite (cmax /. lower_bound)) then
+    Error
+      (Printf.sprintf "ratio C_max / lower bound = %g / %g is not finite" cmax
+         lower_bound)
+  else Ok ()

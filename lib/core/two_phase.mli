@@ -53,3 +53,14 @@ val lpt_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
 val submission_order_phase2 : Instance.t -> Placement.t -> Realization.t -> Schedule.t
 (** {!engine_phase2} with the task-id (submission / list scheduling)
     order. *)
+
+val check_report :
+  n:int ->
+  cmax:float ->
+  lower_bound:float ->
+  mem_max:float ->
+  (unit, string) result
+(** Whether a solve's headline figures can be printed. [Error reason]
+    names the first problem: an instance with no tasks (the ratio would
+    be [0/0]), or a C_max, lower bound, Mem_max or ratio that is not
+    finite — estimates near [max_float] overflow the bound's sums. *)

@@ -1,19 +1,22 @@
 let default_label task = Char.chr (Char.code '0' + (task mod 10))
 
-let render_track buffer ~width ~scale ~label schedule i =
+(* Machine [i]'s row, painted in start order so a later task overwrites
+   the cells it shares with an earlier one. [by] is the schedule's
+   [tasks_by_machine], computed once per render. *)
+let track ~width ~scale ~label schedule (by : Schedule.by_machine) i =
   let row = Bytes.make width '.' in
-  List.iter
-    (fun task ->
-      let e = Schedule.entry schedule task in
-      let first = int_of_float (e.Schedule.start *. scale) in
-      let last = int_of_float (e.Schedule.finish *. scale) - 1 in
-      let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
-      let last = Stdlib.max first (Stdlib.min (width - 1) last) in
-      for c = first to last do
-        Bytes.set row c (label task)
-      done)
-    (Schedule.machine_tasks schedule i);
-  Buffer.add_string buffer (Printf.sprintf "m%-3d |%s|\n" i (Bytes.to_string row))
+  for p = by.offsets.(i) to by.offsets.(i + 1) - 1 do
+    let task = by.tasks.(p) in
+    let e = Schedule.entry schedule task in
+    let first = int_of_float (e.Schedule.start *. scale) in
+    let last = int_of_float (e.Schedule.finish *. scale) - 1 in
+    let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
+    let last = Stdlib.max first (Stdlib.min (width - 1) last) in
+    for c = first to last do
+      Bytes.set row c (label task)
+    done
+  done;
+  Bytes.to_string row
 
 let render ?(width = 72) ?(label = default_label) schedule =
   let buffer = Buffer.create 256 in
@@ -22,8 +25,10 @@ let render ?(width = 72) ?(label = default_label) schedule =
   Buffer.add_string buffer
     (Printf.sprintf "time 0 .. %g (makespan), %d machines\n" horizon
        (Schedule.m schedule));
+  let by = Schedule.tasks_by_machine schedule in
   for i = 0 to Schedule.m schedule - 1 do
-    render_track buffer ~width ~scale ~label schedule i
+    Printf.bprintf buffer "m%-3d |%s|\n" i
+      (track ~width ~scale ~label schedule by i)
   done;
   Buffer.contents buffer
 
@@ -37,23 +42,11 @@ let render_two ?(width = 36) ~left_title ~right_title left right =
     (Printf.sprintf "%-*s   %s\n" (width + 7) left_title right_title);
   Buffer.add_string buffer
     (Printf.sprintf "shared time scale 0 .. %g\n" horizon);
+  let by_left = Schedule.tasks_by_machine left
+  and by_right = Schedule.tasks_by_machine right in
+  let track = track ~width ~scale ~label:default_label in
   for i = 0 to Schedule.m left - 1 do
-    let track schedule =
-      let row = Bytes.make width '.' in
-      List.iter
-        (fun task ->
-          let e = Schedule.entry schedule task in
-          let first = int_of_float (e.Schedule.start *. scale) in
-          let last = int_of_float (e.Schedule.finish *. scale) - 1 in
-          let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
-          let last = Stdlib.max first (Stdlib.min (width - 1) last) in
-          for c = first to last do
-            Bytes.set row c (default_label task)
-          done)
-        (Schedule.machine_tasks schedule i);
-      Bytes.to_string row
-    in
-    Buffer.add_string buffer
-      (Printf.sprintf "m%-3d |%s|   |%s|\n" i (track left) (track right))
+    Printf.bprintf buffer "m%-3d |%s|   |%s|\n" i (track left by_left i)
+      (track right by_right i)
   done;
   Buffer.contents buffer

@@ -62,6 +62,33 @@ let machine_tasks t i =
   done;
   List.sort (fun a b -> Float.compare t.starts.(a) t.starts.(b)) !tasks
 
+type by_machine = { offsets : int array; tasks : int array }
+
+(* Counting sort by machine leaves each bucket in ascending task id; a
+   stable sort by start then orders it exactly as [machine_tasks]
+   does. *)
+let tasks_by_machine t =
+  let offsets = Array.make (t.m + 1) 0 in
+  Array.iter (fun i -> offsets.(i + 1) <- offsets.(i + 1) + 1) t.machines;
+  for i = 1 to t.m do
+    offsets.(i) <- offsets.(i) + offsets.(i - 1)
+  done;
+  let fill = Array.sub offsets 0 t.m in
+  let tasks = Array.make (n t) 0 in
+  Array.iteri
+    (fun j i ->
+      tasks.(fill.(i)) <- j;
+      fill.(i) <- fill.(i) + 1)
+    t.machines;
+  let by_start a b = Float.compare t.starts.(a) t.starts.(b) in
+  for i = 0 to t.m - 1 do
+    let lo = offsets.(i) and len = offsets.(i + 1) - offsets.(i) in
+    let bucket = Array.sub tasks lo len in
+    Array.stable_sort by_start bucket;
+    Array.blit bucket 0 tasks lo len
+  done;
+  { offsets; tasks }
+
 let assignment t = Array.copy t.machines
 
 let of_assignment ~m ~durations assignment =
@@ -114,16 +141,13 @@ let validate ?placement ?speeds instance realization t =
           push (Not_allowed { task = j; machine = t.machines.(j) })
       done);
   (* No two tasks overlap on one machine. *)
+  let { offsets; tasks } = tasks_by_machine t in
   for i = 0 to t.m - 1 do
-    let tasks = machine_tasks t i in
-    let rec check = function
-      | a :: (b :: _ as rest) ->
-          if t.finishes.(a) > t.starts.(b) +. tolerance then
-            push (Overlap { machine = i; task_a = a; task_b = b });
-          check rest
-      | _ -> ()
-    in
-    check tasks
+    for p = offsets.(i) to offsets.(i + 1) - 2 do
+      let a = tasks.(p) and b = tasks.(p + 1) in
+      if t.finishes.(a) > t.starts.(b) +. tolerance then
+        push (Overlap { machine = i; task_a = a; task_b = b })
+    done
   done;
   ignore instance;
   List.rev !violations

@@ -37,7 +37,19 @@ val loads : t -> float array
 (** Total busy time per machine. *)
 
 val machine_tasks : t -> int -> int list
-(** Tasks run by a machine, in increasing start order. *)
+(** Tasks run by a machine, in increasing start order (ties in
+    increasing task id). Scans the whole schedule: use
+    {!tasks_by_machine} to visit every machine. *)
+
+type by_machine = { offsets : int array; tasks : int array }
+(** Every machine's tasks in one pair of arrays: machine [i] ran
+    [tasks.(offsets.(i))] .. [tasks.(offsets.(i + 1) - 1)], in the
+    order of {!machine_tasks}. [offsets] has [m + 1] entries. *)
+
+val tasks_by_machine : t -> by_machine
+(** All machines' task lists from one counting-sort pass over the
+    schedule, instead of one {!machine_tasks} scan per machine:
+    O(n log n + m), where [m] scans cost O(n·m). *)
 
 val assignment : t -> int array
 (** Per-task machine, as a fresh array. *)

@@ -6,33 +6,35 @@ type machine_stats = {
   idle_before_finish : float;
 }
 
+(* Each machine's busy time is summed in [tasks_by_machine] order
+   (start time, ties by task id): the printed figures depend on that
+   order to the last bit. *)
 let machine_stats schedule =
+  let { Schedule.offsets; tasks } = Schedule.tasks_by_machine schedule in
   Array.init (Schedule.m schedule) (fun i ->
-      let tasks = Schedule.machine_tasks schedule i in
-      let busy, finish =
-        List.fold_left
-          (fun (busy, finish) task ->
-            let e = Schedule.entry schedule task in
-            ( busy +. (e.Schedule.finish -. e.Schedule.start),
-              Float.max finish e.Schedule.finish ))
-          (0.0, 0.0) tasks
-      in
+      let busy = ref 0.0 and finish = ref 0.0 in
+      for p = offsets.(i) to offsets.(i + 1) - 1 do
+        let e = Schedule.entry schedule tasks.(p) in
+        busy := !busy +. (e.Schedule.finish -. e.Schedule.start);
+        finish := Float.max !finish e.Schedule.finish
+      done;
       {
         machine = i;
-        busy;
-        finish;
-        tasks = List.length tasks;
-        idle_before_finish = finish -. busy;
+        busy = !busy;
+        finish = !finish;
+        tasks = offsets.(i + 1) - offsets.(i);
+        idle_before_finish = !finish -. !busy;
       })
 
-let utilization schedule =
+let utilization_of schedule stats =
   let horizon = Schedule.makespan schedule in
   if horizon <= 0.0 then 0.0
   else begin
-    let stats = machine_stats schedule in
     let busy = Array.fold_left (fun acc s -> acc +. s.busy) 0.0 stats in
     busy /. (float_of_int (Schedule.m schedule) *. horizon)
   end
+
+let utilization schedule = utilization_of schedule (machine_stats schedule)
 
 let render_events events =
   let buffer = Buffer.create 256 in
@@ -83,15 +85,14 @@ let render_events events =
   Buffer.contents buffer
 
 let render_stats schedule =
-  let buffer = Buffer.create 256 in
+  let stats = machine_stats schedule in
+  let buffer = Buffer.create (64 * (Array.length stats + 2)) in
   Buffer.add_string buffer "machine  tasks      busy    finish      idle\n";
   Array.iter
     (fun s ->
-      Buffer.add_string buffer
-        (Printf.sprintf "m%-7d %5d %9.3f %9.3f %9.3f\n" s.machine s.tasks s.busy
-           s.finish s.idle_before_finish))
-    (machine_stats schedule);
-  Buffer.add_string buffer
-    (Printf.sprintf "utilization: %.1f%% of m * makespan\n"
-       (100.0 *. utilization schedule));
+      Printf.bprintf buffer "m%-7d %5d %9.3f %9.3f %9.3f\n" s.machine s.tasks
+        s.busy s.finish s.idle_before_finish)
+    stats;
+  Printf.bprintf buffer "utilization: %.1f%% of m * makespan\n"
+    (100.0 *. utilization_of schedule stats);
   Buffer.contents buffer

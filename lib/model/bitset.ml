@@ -49,13 +49,35 @@ let capacity t = t.len
 
 let copy t = { len = t.len; words = Array.copy t.words }
 
-(* Kernighan's bit-clear loop: one iteration per set bit, not per bit
-   position. *)
-let popcount word =
-  let rec loop acc w = if w = 0 then acc else loop (acc + 1) (w land (w - 1)) in
-  loop 0 word
+(* SWAR bit count in constant time, whatever the density. Valid for
+   words in [0, 2^62): after the byte-sum multiply the count (at most
+   62) sits in the top seven bits, which the 63-bit product keeps. *)
+let popcount w =
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w =
+    (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+(* Position of the lowest set bit of a non-zero word: the bits below it
+   are [(w land -w) - 1]. *)
+let lowest_bit w = popcount ((w land -w) - 1)
+
+let full_word = (1 lsl bits_per_word) - 1
+
+(* Empty and full words, the bulk of a contiguous group's set, are
+   counted without the SWAR arithmetic. *)
+let rec words_count words k acc =
+  if k >= Array.length words then acc
+  else
+    let w = words.(k) in
+    let c =
+      if w = 0 then 0 else if w = full_word then bits_per_word else popcount w
+    in
+    words_count words (k + 1) (acc + c)
+
+let cardinal t = words_count t.words 0 0
 
 (* Module-level recursion instead of [Array.for_all] with a lambda —
    the closure allocated per call showed up in the engine's
@@ -65,9 +87,18 @@ let rec words_zero words k =
 
 let is_empty t = words_zero t.words 0
 
+(* Word-level scans: each word is read once and only its set bits are
+   visited, lowest first, so members still come out in ascending order
+   — the order every float sum over a set relies on. *)
 let iter f t =
-  for i = 0 to t.len - 1 do
-    if mem t i then f i
+  let words = t.words in
+  for k = 0 to Array.length words - 1 do
+    let w = ref words.(k) in
+    let base = k * bits_per_word in
+    while !w <> 0 do
+      f (base + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
   done
 
 let fold f init t =
@@ -77,12 +108,65 @@ let fold f init t =
 
 let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
 
-let choose t =
-  let exception Found of int in
-  try
-    iter (fun i -> raise (Found i)) t;
-    raise Not_found
-  with Found i -> i
+let rec first_member words k =
+  if k >= Array.length words then raise Not_found
+  else if words.(k) = 0 then first_member words (k + 1)
+  else (k * bits_per_word) + lowest_bit words.(k)
+
+let choose t = first_member t.words 0
+
+(* Sums over a family of sets, one word column at a time. While every
+   set seen so far has word [k] empty or full, the 62 positions of word
+   [k] have received the same additions in the same order, so one
+   accumulator [shared.(k)] stands for all of them. The first partial
+   word splits the column: its positions take the shared value and are
+   summed one by one from then on. Either way each position's sum adds
+   the same terms in increasing set index as a per-position loop. *)
+let accumulate ~capacity sets (weights : float array) =
+  if Array.length weights <> Array.length sets then
+    invalid_arg "Bitset.accumulate: weights length mismatch";
+  Array.iter
+    (fun t ->
+      if t.len <> capacity then
+        invalid_arg "Bitset.accumulate: capacity mismatch")
+    sets;
+  let columns = word_count capacity in
+  let sums = Array.make capacity 0.0 in
+  let shared = Array.make columns 0.0 in
+  let split = Array.make columns false in
+  let spread k =
+    let base = k * bits_per_word in
+    for i = base to Int.min (base + bits_per_word) capacity - 1 do
+      sums.(i) <- shared.(k)
+    done
+  in
+  Array.iteri
+    (fun j t ->
+      let x = weights.(j) in
+      for k = 0 to columns - 1 do
+        let w = t.words.(k) in
+        if w = 0 then ()
+        else if w = full_word && not split.(k) then
+          shared.(k) <- shared.(k) +. x
+        else begin
+          if not split.(k) then begin
+            spread k;
+            split.(k) <- true
+          end;
+          let base = k * bits_per_word in
+          let w = ref w in
+          while !w <> 0 do
+            let i = base + lowest_bit !w in
+            sums.(i) <- sums.(i) +. x;
+            w := !w land (!w - 1)
+          done
+        end
+      done)
+    sets;
+  for k = 0 to columns - 1 do
+    if not split.(k) then spread k
+  done;
+  sums
 
 let check_same_capacity a b =
   if a.len <> b.len then invalid_arg "Bitset: capacity mismatch"

@@ -31,16 +31,32 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
+(** Constant-time bit count per word: O(capacity/62). *)
+
 val is_empty : t -> bool
 
 val iter : (int -> unit) -> t -> unit
-(** Visit members in increasing order. *)
+(** Visit members in increasing order. Word by word: only set bits
+    are visited, so a scan costs O(capacity/62 + cardinal). *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+(** Members in increasing order, like {!iter}. *)
+
 val to_list : t -> int list
 
 val choose : t -> int
-(** Smallest member. Raises [Not_found] on the empty set. *)
+(** Smallest member, found by skipping zero words. Raises [Not_found]
+    on the empty set. *)
+
+val accumulate : capacity:int -> t array -> float array -> float array
+(** [accumulate ~capacity sets weights] is the array [a] of length
+    [capacity] with [a.(i)] the sum of [weights.(j)] over the sets
+    [sets.(j)] that contain [i], added in increasing [j] from [0.0] —
+    bit-identical to a loop over every (set, position) pair. A word
+    column whose words are all empty or full (sets shared by many
+    tasks over contiguous machines) costs one addition per set, not
+    62. Raises [Invalid_argument] when the lengths differ or a set's
+    capacity is not [capacity]. *)
 
 val union : t -> t -> t
 (** Functional union of two sets of equal capacity. *)

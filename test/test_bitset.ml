@@ -128,6 +128,98 @@ let prop_union_cardinality =
       Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
       = Bitset.cardinal a + Bitset.cardinal b)
 
+(* The word-level scans against a naive reference that probes every
+   position with [mem]. Capacities straddle the 62-bit word boundaries;
+   densities run from empty to full, so full words and sparse words
+   both occur. *)
+let capacities = [ 0; 1; 61; 62; 63; 123; 124; 125; 1000 ]
+let densities = [ 0.0; 0.01; 0.1; 0.5; 0.9; 0.99; 1.0 ]
+
+let random_set rng ~capacity ~density =
+  let s = Bitset.create capacity in
+  for i = 0 to capacity - 1 do
+    if density >= 1.0 || Random.State.float rng 1.0 < density then Bitset.add s i
+  done;
+  s
+
+let naive_members s =
+  let acc = ref [] in
+  for i = Bitset.capacity s - 1 downto 0 do
+    if Bitset.mem s i then acc := i :: !acc
+  done;
+  !acc
+
+let arb_pair =
+  QCheck.(
+    quad (oneofl capacities) (oneofl densities) (oneofl densities) int)
+
+let prop_kernels_match_naive =
+  QCheck.Test.make ~name:"word-level scans match a mem-loop reference"
+    ~count:500 arb_pair (fun (capacity, da, db, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let a = random_set rng ~capacity ~density:da in
+      let b = random_set rng ~capacity ~density:db in
+      let members = naive_members a in
+      let visited = ref [] in
+      Bitset.iter (fun i -> visited := i :: !visited) a;
+      let common = List.filter (fun i -> Bitset.mem b i) members in
+      List.rev !visited = members
+      && List.rev (Bitset.fold (fun acc i -> i :: acc) [] a) = members
+      && Bitset.to_list a = members
+      && (match members with
+         | [] -> (try ignore (Bitset.choose a); false with Not_found -> true)
+         | first :: _ -> Bitset.choose a = first)
+      && Bitset.cardinal a = List.length members
+      && Bitset.inter_cardinal a b = List.length common)
+
+(* Families mix full, empty and random words, so word columns stay
+   shared, split early, or split late; weights of wildly different
+   magnitudes make any change of summation order visible in the bits. *)
+let prop_accumulate_matches_naive =
+  QCheck.Test.make ~name:"accumulate matches a mem-loop reference bit for bit"
+    ~count:300
+    QCheck.(pair (oneofl capacities) int)
+    (fun (capacity, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pool =
+        Array.init
+          (1 + Random.State.int rng 4)
+          (fun _ ->
+            let density = List.nth densities (Random.State.int rng 7) in
+            random_set rng ~capacity ~density)
+      in
+      let n = Random.State.int rng 40 in
+      let sets = Array.init n (fun _ -> pool.(Random.State.int rng (Array.length pool))) in
+      let weights =
+        Array.init n (fun _ ->
+            Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 30 - 15)))
+      in
+      let naive = Array.make capacity 0.0 in
+      Array.iteri
+        (fun j set ->
+          for i = 0 to capacity - 1 do
+            if Bitset.mem set i then naive.(i) <- naive.(i) +. weights.(j)
+          done)
+        sets;
+      Array.for_all2
+        (fun f r -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float r))
+        (Bitset.accumulate ~capacity sets weights)
+        naive)
+
+let accumulate_columns () =
+  (* Word 0 stays shared (full or empty in every set); word 1 splits at
+     the second set, after the first set's full-word addition. *)
+  let full = Bitset.full 124 and half = Bitset.of_list 124 [ 62; 100 ] in
+  let sums = Bitset.accumulate ~capacity:124 [| full; half; full |] [| 1.0; 2.0; 4.0 |] in
+  Alcotest.(check (float 0.0)) "shared column" 5.0 sums.(0);
+  Alcotest.(check (float 0.0)) "split member" 7.0 sums.(100);
+  Alcotest.(check (float 0.0)) "split non-member" 5.0 sums.(101);
+  Alcotest.(check (array (float 0.0))) "no sets" [| 0.0; 0.0 |]
+    (Bitset.accumulate ~capacity:2 [||] [||]);
+  Alcotest.check_raises "capacity mismatch"
+    (Invalid_argument "Bitset.accumulate: capacity mismatch") (fun () ->
+      ignore (Bitset.accumulate ~capacity:123 [| full |] [| 1.0 |]))
+
 let () =
   Alcotest.run "bitset"
     [
@@ -146,8 +238,14 @@ let () =
           Alcotest.test_case "subset/equal" `Quick subset_equal;
           Alcotest.test_case "copy independence" `Quick copy_is_independent;
           Alcotest.test_case "pretty printing" `Quick pp_renders;
+          Alcotest.test_case "accumulate columns" `Quick accumulate_columns;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_matches_reference; prop_union_cardinality ] );
+          [
+            prop_matches_reference;
+            prop_union_cardinality;
+            prop_kernels_match_naive;
+            prop_accumulate_matches_naive;
+          ] );
     ]

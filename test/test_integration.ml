@@ -205,9 +205,59 @@ let example_instance_is_mixed () =
   checkb "has memory-heavy tasks" true
     (Array.exists (fun t -> Usched_model.Task.size t > 4.0) (Instance.tasks instance))
 
+(* The figures [usched solve] prints, for two instances whose report
+   would read [ratio <= -nan] / [utilization: -nan%]: no tasks, and
+   estimates whose sum overflows. [check_report] must name the reason;
+   the CLI turns it into exit code 2 (test/cli). *)
+let report_of text =
+  let instance = Usched_model.Io.instance_of_string text in
+  let m = Instance.m instance in
+  let algo = Core.Strategy.build Core.Strategy.(group ~order:Ls ~k:2) ~m in
+  let realization =
+    Realization.log_uniform_factor instance (Rng.create ~seed:1 ())
+  in
+  let placement, schedule = Core.Two_phase.run_full algo instance realization in
+  Core.Two_phase.check_report ~n:(Instance.n instance)
+    ~cmax:(Usched_desim.Schedule.makespan schedule)
+    ~lower_bound:(Core.Lower_bounds.best ~m (Realization.actuals realization))
+    ~mem_max:(Core.Placement.memory_max placement ~sizes:(Instance.sizes instance))
+
+let report_rejects_empty_instance () =
+  match report_of "# usched-instance m=2 alpha=1.5\nid,est,size\n" with
+  | Ok () -> Alcotest.fail "an instance with no tasks was reported"
+  | Error reason -> Alcotest.(check string) "reason" "instance has no tasks" reason
+
+let report_rejects_overflow () =
+  match
+    report_of
+      "# usched-instance m=2 alpha=1.5\nid,est,size\n0,1e308,1\n1,1e308,1\n"
+  with
+  | Ok () -> Alcotest.fail "an overflowing lower bound was reported"
+  | Error reason ->
+      checkb "names the lower bound" true
+        (String.length reason >= 11 && String.sub reason 0 11 = "lower bound")
+
+let report_accepts_finite () =
+  checkb "finite figures pass" true
+    (report_of "# usched-instance m=2 alpha=1.5\nid,est,size\n0,2,1\n1,3,1\n"
+    = Ok ());
+  checkb "infinite Mem_max named" true
+    (match
+       Core.Two_phase.check_report ~n:1 ~cmax:1.0 ~lower_bound:1.0
+         ~mem_max:infinity
+     with
+    | Error r -> String.sub r 0 7 = "Mem_max"
+    | Ok () -> false)
+
 let () =
   Alcotest.run "integration"
     [
+      ( "solve report",
+        [
+          Alcotest.test_case "no tasks" `Quick report_rejects_empty_instance;
+          Alcotest.test_case "overflowing estimates" `Quick report_rejects_overflow;
+          Alcotest.test_case "finite figures" `Quick report_accepts_finite;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "unique ids" `Quick registry_ids_unique;

@@ -2,6 +2,7 @@
 
 module Placement = Usched_core.Placement
 module Bitset = Usched_model.Bitset
+module Topology = Usched_model.Topology
 
 let close = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
@@ -140,6 +141,87 @@ let machine_loads_count_replicas () =
   Alcotest.(check (array int))
     "replica count per machine" [| 2; 1; 0 |] (Placement.machine_loads p)
 
+(* The aggregates against references that probe every (task, machine)
+   position with [mem], compared bit for bit. Placements are either
+   shared (a few physical sets reused by many tasks, as group
+   placements build them) or unshared (one fresh set per task). *)
+type topo_kind = Uniform | Two_zone | Free_edged
+
+let topology_of kind ~m rng =
+  match kind with
+  | Uniform -> Topology.uniform ~m
+  | Two_zone ->
+      Topology.zoned
+        ~latency:(Random.State.float rng 2.0)
+        ~m ~zones:(min 2 m)
+        ~bandwidth:(0.1 +. Random.State.float rng 10.0)
+        ()
+  | Free_edged ->
+      (* Several zones, but every link is free: cross-zone members cost
+         exactly [0 + size/inf]. *)
+      let zones = min 3 m in
+      Topology.make
+        ~zone_of:(Array.init m (fun i -> i * zones / m))
+        ~bandwidth:(Array.make_matrix zones zones infinity)
+        ~latency:(Array.make_matrix zones zones 0.0)
+
+let random_placement rng ~m ~n ~shared =
+  let fresh () =
+    let s = Bitset.create m in
+    let density = Random.State.float rng 1.0 in
+    for i = 0 to m - 1 do
+      if Random.State.float rng 1.0 < density then Bitset.add s i
+    done;
+    if Bitset.is_empty s then Bitset.add s (Random.State.int rng m);
+    s
+  in
+  let sets =
+    if shared then begin
+      let pool = Array.init (1 + Random.State.int rng 4) (fun _ -> fresh ()) in
+      Array.init n (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+    end
+    else Array.init n (fun _ -> fresh ())
+  in
+  Placement.of_sets ~m sets
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let arb_case =
+  QCheck.(
+    quad (int_range 1 130) (int_range 1 60)
+      (pair bool (oneofl [ Uniform; Two_zone; Free_edged ]))
+      int)
+
+let prop_aggregates_match_reference =
+  QCheck.Test.make ~name:"memory_loads/replication_costs match a mem-loop reference"
+    ~count:300 arb_case (fun (m, n, (shared, kind), seed) ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_placement rng ~m ~n ~shared in
+      let topology = topology_of kind ~m rng in
+      let sizes = Array.init n (fun _ -> Random.State.float rng 50.0) in
+      let loads = Array.make m 0.0 in
+      let costs = Array.make n 0.0 in
+      for j = 0 to n - 1 do
+        for i = 0 to m - 1 do
+          if Bitset.mem (Placement.set p j) i then begin
+            loads.(i) <- loads.(i) +. sizes.(j);
+            costs.(j) <-
+              costs.(j)
+              +. Topology.staging_time topology ~src:(j mod m) ~dst:i
+                   ~size:sizes.(j)
+          end
+        done
+      done;
+      same_bits (Placement.memory_loads p ~sizes) loads
+      && same_bits (Placement.replication_costs p ~topology ~sizes) costs
+      && same_bits
+           [| Placement.replication_cost p ~topology ~sizes |]
+           [| Array.fold_left ( +. ) 0.0 costs |])
+
 let () =
   Alcotest.run "placement"
     [
@@ -171,4 +253,6 @@ let () =
             under_replicated_reports_ascending;
           Alcotest.test_case "machine_loads" `Quick machine_loads_count_replicas;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_aggregates_match_reference ] );
     ]

@@ -111,6 +111,38 @@ let gantt_two_requires_same_m () =
     (Invalid_argument "Gantt.render_two: machine counts differ") (fun () ->
       ignore (Gantt.render_two ~left_title:"a" ~right_title:"b" a b))
 
+let tasks_by_machine_ties () =
+  (* Machine 0 runs tasks 3, 1, 0 at start times 0, 1, 1: the tie keeps
+     ascending task id. Machine 1 runs nothing. *)
+  let s =
+    Schedule.make ~m:3
+      [| entry 0 1.0 2.0; entry 0 1.0 1.0; entry 2 0.0 1.0; entry 0 0.0 1.0 |]
+  in
+  let by = Schedule.tasks_by_machine s in
+  Alcotest.(check (array int)) "offsets" [| 0; 3; 3; 4 |] by.Schedule.offsets;
+  Alcotest.(check (array int)) "tasks" [| 3; 0; 1; 2 |] by.Schedule.tasks
+
+let prop_tasks_by_machine_matches_scans =
+  QCheck.Test.make ~name:"tasks_by_machine = machine_tasks on every machine"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let m = 1 + Random.State.int rng 10 in
+      let s =
+        Schedule.make ~m
+          (Array.init (Random.State.int rng 60) (fun _ ->
+               let start = float_of_int (Random.State.int rng 4) in
+               entry (Random.State.int rng m) start (start +. 1.0)))
+      in
+      let by = Schedule.tasks_by_machine s in
+      by.Schedule.offsets.(m) = Schedule.n s
+      && List.for_all
+           (fun i ->
+             Array.to_list
+               (Array.sub by.Schedule.tasks by.Schedule.offsets.(i)
+                  (by.Schedule.offsets.(i + 1) - by.Schedule.offsets.(i)))
+             = Schedule.machine_tasks s i)
+           (List.init m Fun.id))
+
 let () =
   Alcotest.run "schedule"
     [
@@ -119,6 +151,8 @@ let () =
           Alcotest.test_case "basic" `Quick basic_measures;
           Alcotest.test_case "construction validation" `Quick make_validation;
           Alcotest.test_case "of_assignment" `Quick of_assignment_packs_back_to_back;
+          Alcotest.test_case "tasks_by_machine ties" `Quick tasks_by_machine_ties;
+          QCheck_alcotest.to_alcotest prop_tasks_by_machine_matches_scans;
         ] );
       ( "validate",
         [

@@ -2,6 +2,7 @@
 
 module Timeline = Usched_desim.Timeline
 module Schedule = Usched_desim.Schedule
+module Gantt = Usched_desim.Gantt
 module Engine = Usched_desim.Engine
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -83,6 +84,95 @@ let render_stats_mentions_utilization () =
     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
     go 0)
 
+(* [render_stats] and [Gantt.render] against references that rescan
+   the whole schedule once per machine with [Schedule.machine_tasks].
+   Start times are drawn from a handful of values, so same-machine ties
+   are common and the tie order (ascending task id) is exercised. *)
+let random_schedule rng =
+  let m = 1 + Random.State.int rng 12 in
+  let n = Random.State.int rng 80 in
+  Schedule.make ~m
+    (Array.init n (fun _ ->
+         let start = 0.5 *. float_of_int (Random.State.int rng 6) in
+         let duration =
+           if Random.State.bool rng then 0.0 else Random.State.float rng 3.0
+         in
+         entry (Random.State.int rng m) start (start +. duration)))
+
+let reference_render_stats schedule =
+  let m = Schedule.m schedule in
+  let stats =
+    Array.init m (fun i ->
+        let tasks = Schedule.machine_tasks schedule i in
+        let busy, finish =
+          List.fold_left
+            (fun (busy, finish) task ->
+              let e = Schedule.entry schedule task in
+              ( busy +. (e.Schedule.finish -. e.Schedule.start),
+                Float.max finish e.Schedule.finish ))
+            (0.0, 0.0) tasks
+        in
+        (i, List.length tasks, busy, finish))
+  in
+  let buffer = Buffer.create 256 in
+  Buffer.add_string buffer "machine  tasks      busy    finish      idle\n";
+  Array.iter
+    (fun (i, tasks, busy, finish) ->
+      Buffer.add_string buffer
+        (Printf.sprintf "m%-7d %5d %9.3f %9.3f %9.3f\n" i tasks busy finish
+           (finish -. busy)))
+    stats;
+  let horizon = Schedule.makespan schedule in
+  let utilization =
+    if horizon <= 0.0 then 0.0
+    else
+      Array.fold_left (fun acc (_, _, busy, _) -> acc +. busy) 0.0 stats
+      /. (float_of_int m *. horizon)
+  in
+  Buffer.add_string buffer
+    (Printf.sprintf "utilization: %.1f%% of m * makespan\n"
+       (100.0 *. utilization));
+  Buffer.contents buffer
+
+let reference_gantt ~width schedule =
+  let buffer = Buffer.create 256 in
+  let horizon = Schedule.makespan schedule in
+  let scale = if horizon > 0.0 then float_of_int width /. horizon else 0.0 in
+  Buffer.add_string buffer
+    (Printf.sprintf "time 0 .. %g (makespan), %d machines\n" horizon
+       (Schedule.m schedule));
+  for i = 0 to Schedule.m schedule - 1 do
+    let row = Bytes.make width '.' in
+    List.iter
+      (fun task ->
+        let e = Schedule.entry schedule task in
+        let first = int_of_float (e.Schedule.start *. scale) in
+        let last = int_of_float (e.Schedule.finish *. scale) - 1 in
+        let first = Stdlib.max 0 (Stdlib.min (width - 1) first) in
+        let last = Stdlib.max first (Stdlib.min (width - 1) last) in
+        for c = first to last do
+          Bytes.set row c (Char.chr (Char.code '0' + (task mod 10)))
+        done)
+      (Schedule.machine_tasks schedule i);
+    Buffer.add_string buffer
+      (Printf.sprintf "m%-3d |%s|\n" i (Bytes.to_string row))
+  done;
+  Buffer.contents buffer
+
+let prop_render_stats_matches_reference =
+  QCheck.Test.make ~name:"render_stats matches a per-machine-scan reference"
+    ~count:300 QCheck.int (fun seed ->
+      let schedule = random_schedule (Random.State.make [| seed |]) in
+      String.equal (Timeline.render_stats schedule)
+        (reference_render_stats schedule))
+
+let prop_gantt_matches_reference =
+  QCheck.Test.make ~name:"Gantt.render matches a per-machine-scan reference"
+    ~count:200 QCheck.int (fun seed ->
+      let schedule = random_schedule (Random.State.make [| seed |]) in
+      String.equal (Gantt.render ~width:40 schedule)
+        (reference_gantt ~width:40 schedule))
+
 let () =
   Alcotest.run "timeline"
     [
@@ -100,4 +190,7 @@ let () =
           Alcotest.test_case "events" `Quick render_events_format;
           Alcotest.test_case "stats table" `Quick render_stats_mentions_utilization;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_render_stats_matches_reference; prop_gantt_matches_reference ] );
     ]
