@@ -265,21 +265,6 @@ let benches () =
               (Engine.run_faulty ~speeds:his disp disp_realization ~faults
                  ~placement:disp_sets ~order:disp_order))));
     (* Substrates. *)
-    (let keys = Array.init 10_000 (fun i -> (i * 2_654_435_761) land 0xFFFFF) in
-     Test.make ~name:"pqueue/push-pop churn (10k)"
-       (Staged.stage (fun () ->
-            let q = Usched_desim.Pqueue.create ~compare:Int.compare () in
-            Array.iter (fun k -> Usched_desim.Pqueue.push q k) keys;
-            let acc = ref 0 in
-            let rec drain () =
-              match Usched_desim.Pqueue.pop q with
-              | Some k ->
-                  acc := !acc + k;
-                  drain ()
-              | None -> ()
-            in
-            drain ();
-            Sys.opaque_identity !acc |> ignore)));
     Test.make ~name:"prng/xoshiro256 float"
       (Staged.stage (fun () -> ignore (Rng.float rng)));
     Test.make ~name:"workload/uniform n=1000"

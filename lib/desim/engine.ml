@@ -11,16 +11,21 @@
 
    What remains here is the physics: what a crash, outage, slowdown,
    completion, transfer, checkpoint, or speculation event does to the
-   shared task state, and the observability taps around it.
+   shared task state, and the observability taps around it. One event
+   loop ([simulate]) serves all six entry points; the healthy [run] is
+   that loop on an empty trace, and each entry point only shapes its
+   result.
 
-   The hot loops are written to allocate nothing on the minor heap when
-   metrics and tracing are off: event payload data rides the heap's
-   integer [aux] lanes instead of boxed constructor arguments, the
-   simulation clock lives in a shared one-cell float array read by the
-   policy instead of crossing call boundaries as a (boxed) float, trace
-   events are constructed only under an [if tr] guard, and per-task /
+   The loop allocates nothing on the minor heap when metrics and
+   tracing are off: event payload data rides the heap's integer [aux]
+   lanes instead of boxed constructor arguments, the simulation clock
+   lives in a shared one-cell float array that handlers and the policy
+   read instead of passing a (boxed) float across calls, trace events
+   are constructed only under an [if tr] guard, and per-task /
    per-machine state is flat arrays whose full-length allocations land
-   in the major heap. *)
+   in the major heap. A per-task lane that only speculation, faults,
+   recovery, arrivals or a topology can read is allocated only when
+   that input is present. *)
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -96,169 +101,6 @@ let inverse_order ~n order =
   Array.iteri (fun pos j -> pos_of.(j) <- pos) order;
   pos_of
 
-let run_internal ?speeds ~dispatch ~metrics instance realization ~placement
-    ~order ~tr ~emit =
-  check_inputs ?speeds ~name:"Engine.run" instance ~placement ~order;
-  let n = Instance.n instance and m = Instance.m instance in
-  let base =
-    match speeds with None -> Array.make m 1.0 | Some s -> Array.copy s
-  in
-  (* Bulk copies land in the major heap; per-element [Array.init]
-     through a closure would box every returned float. The [est] fill
-     inlines to unboxed loads. *)
-  let actuals = Realization.actuals realization in
-  let ests = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    ests.(j) <- Instance.est instance j
-  done;
-  let sizes = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    sizes.(j) <- Instance.size instance j
-  done;
-  (* Staging: with a topology, a machine's (only) copy of task j first
-     pulls j's data from its home machine [j mod m]; the pull extends
-     the copy's duration by the cross-zone staging time (zero within the
-     home zone). Without a topology the float arithmetic below is
-     untouched — [None] keeps this run bit-for-bit the pre-topology
-     engine. *)
-  let topo = Instance.topology instance in
-  (* Observability. Every update is guarded (a disabled registry hands
-     out no-op instruments), and nothing below reads a metric back, so
-     the schedule is bit-for-bit identical with metrics on or off. *)
-  let live = Metrics.is_enabled metrics in
-  let mc_events = Metrics.counter metrics "engine.events" in
-  let mc_dispatches = Metrics.counter metrics "engine.dispatches" in
-  let mg_queue = Metrics.gauge metrics "engine.queue_depth_max" in
-  let mg_makespan = Metrics.gauge metrics "engine.makespan" in
-  let mh_idle = Metrics.histogram metrics "engine.machine_idle" in
-  let busy = if live then Array.make m 0.0 else [||] in
-  (* [dispatchable.(j)]: task j is in the pool. In the healthy engine a
-     task leaves the pool exactly once, so eligibility never grows and
-     the default policy's cursors are monotone. *)
-  let dispatchable = Array.make n true in
-  let e_machine = Array.make n 0 in
-  let e_start = Array.make n 0.0 in
-  let e_finish = Array.make n 0.0 in
-  let remaining = ref n in
-  let loads = Array.make m 0.0 in
-  let now = Array.make 1 0.0 in
-  let policy =
-    Dispatch.make dispatch
-      {
-        Dispatch.n;
-        m;
-        order;
-        pos_of = inverse_order ~n order;
-        dispatchable;
-        holders = placement;
-        est = ests;
-        speed = base;
-        load = loads;
-        now;
-        available = (fun _ -> true);
-        holders_stable = true;
-        topology = topo;
-        size = sizes;
-      }
-  in
-  let queue = Event_core.create ~dummy:() () in
-  for i = 0 to m - 1 do
-    Event_core.push queue ~time:0.0 ~machine:i ~cls:Event_core.cls_decision ()
-  done;
-  if live then
-    Metrics.record_max mg_queue (float_of_int (Event_core.length queue));
-  while not (Event_heap.is_empty queue) do
-    let time = queue.Event_heap.times.(0) in
-    let i = queue.Event_heap.machines.(0) in
-    Event_heap.remove_min queue;
-    Metrics.incr mc_events;
-    now.(0) <- time;
-    let j = Dispatch.select_machine policy ~machine:i in
-    (* [j < 0]: machine i retires — nothing it holds remains. *)
-    if j >= 0 then begin
-      let finish =
-        match topo with
-        | None -> time +. (actuals.(j) /. base.(i))
-        | Some tp ->
-            time
-            +. (actuals.(j) /. base.(i))
-            +. Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j)
-      in
-      e_machine.(j) <- i;
-      e_start.(j) <- time;
-      e_finish.(j) <- finish;
-      dispatchable.(j) <- false;
-      loads.(i) <- loads.(i) +. ests.(j);
-      remaining := !remaining - 1;
-      if tr then begin
-        emit (Started { time; machine = i; task = j });
-        emit (Completed { time = finish; machine = i; task = j })
-      end;
-      Metrics.incr mc_dispatches;
-      if live then busy.(i) <- busy.(i) +. (finish -. time);
-      let s = Event_heap.alloc queue in
-      queue.Event_heap.times.(s) <- finish;
-      queue.Event_heap.machines.(s) <- i;
-      queue.Event_heap.classes.(s) <- Event_core.cls_decision;
-      Event_heap.sift_up queue s;
-      if live then
-        Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
-    end
-  done;
-  if !remaining > 0 then begin
-    let left = ref [] in
-    for j = n - 1 downto 0 do
-      if dispatchable.(j) then left := j :: !left
-    done;
-    raise (Unschedulable !left)
-  end;
-  if live then begin
-    let mk = ref 0.0 in
-    Array.iter (fun f -> if f > !mk then mk := f) e_finish;
-    Metrics.set mg_makespan !mk;
-    for i = 0 to m - 1 do
-      Metrics.observe mh_idle (!mk -. busy.(i))
-    done
-  end;
-  Schedule.of_soa ~m ~machines:e_machine ~starts:e_start ~finishes:e_finish
-
-let run ?speeds ?(dispatch = Dispatch.default) ?(metrics = Metrics.disabled)
-    instance realization ~placement ~order =
-  run_internal ?speeds ~dispatch ~metrics instance realization ~placement
-    ~order ~tr:false ~emit:(fun _ -> ())
-
-let sort_events events =
-  let time_of = function
-    | Arrived { time; _ }
-    | Started { time; _ }
-    | Completed { time; _ }
-    | Killed { time; _ }
-    | Cancelled { time; _ }
-    | Machine_crashed { time; _ }
-    | Machine_down { time; _ }
-    | Machine_up { time; _ }
-    | Machine_slowed { time; _ }
-    | Failure_detected { time; _ }
-    | Rereplication_started { time; _ }
-    | Rereplication_completed { time; _ }
-    | Rereplication_aborted { time; _ }
-    | Checkpoint_resumed { time; _ } -> time
-  in
-  List.stable_sort (fun a b -> Float.compare (time_of a) (time_of b)) events
-
-let run_traced ?speeds ?(dispatch = Dispatch.default)
-    ?(metrics = Metrics.disabled) instance realization ~placement ~order =
-  let events = ref [] in
-  let schedule =
-    run_internal ?speeds ~dispatch ~metrics instance realization ~placement
-      ~order ~tr:true ~emit:(fun e -> events := e :: !events)
-  in
-  (schedule, sort_events (List.rev !events))
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 type fate =
   | Finished of Schedule.entry
   | Stranded
@@ -315,12 +157,40 @@ let rec remove_machine i = function
   | [] -> []
   | k :: rest -> if k = i then rest else k :: remove_machine i rest
 
-let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-    ~arrivals instance realization ~faults ~placement ~order ~tr ~emit =
-  check_inputs ?speeds ~name:"Engine.run_faulty" instance ~placement ~order;
+(* What one simulation leaves behind, before an entry point shapes it
+   into a schedule or an outcome: per-task status, the completion lanes
+   as a schedule (unfinished tasks read machine 0 over [0, 0]), the run
+   totals, and the registry to snapshot. *)
+type result = {
+  status : int array;
+  schedule : Schedule.t;
+  n_done : int;
+  lost : int list;
+  span : float;
+  waste : float;
+  registry : Metrics.t;
+}
+
+(* The one event loop behind every entry point. [faults = None] is the
+   healthy run of {!run}: it reports errors under that name and
+   registers only the healthy instruments. *)
+let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
+    ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) ?faults
+    ?arrivals ?emit instance realization ~placement ~order =
+  let name =
+    if Option.is_none faults then "Engine.run" else "Engine.run_faulty"
+  in
+  check_inputs ?speeds ~name instance ~placement ~order;
   let n = Instance.n instance and m = Instance.m instance in
-  if Trace.m faults <> m then
-    invalid_arg "Engine.run_faulty: trace machine count differs from instance";
+  let fault_events =
+    match faults with
+    | None -> []
+    | Some f ->
+        if Trace.m f <> m then
+          invalid_arg
+            "Engine.run_faulty: trace machine count differs from instance";
+        Trace.events f
+  in
   (match arrivals with
   | None -> ()
   | Some arr ->
@@ -336,8 +206,19 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   | Some beta when not (beta > 0.0) ->
       invalid_arg "Engine.run_faulty: speculation factor must be > 0"
   | _ -> ());
+  let tr, emit = match emit with None -> (false, ignore) | Some f -> (true, f) in
   let spec_on = match speculation with Some _ -> true | None -> false in
   let spec_beta = match speculation with Some b -> b | None -> 0.0 in
+  let streaming = match arrivals with Some _ -> true | None -> false in
+  (* Only a fault event can kill or slow a running copy, and only
+     speculation can run a task twice at once. *)
+  let contended =
+    spec_on || match fault_events with [] -> false | _ :: _ -> true
+  in
+  (* A per-task lane only some input can ever read: allocated when that
+     input is present and empty otherwise, because n-length lanes a
+     healthy run never reads still cost it measurable time. *)
+  let lane needed x = if needed then Array.make n x else [||] in
   (* [Recovery.none] is recognized physically: the engine then runs the
      exact pre-recovery code path (same branches, same float operations,
      same event sequence numbers), which the golden qcheck property in
@@ -359,26 +240,34 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         fun j -> degree.(j)
   in
   let ckpt_interval = recovery.Recovery.checkpoint_interval in
-  (* Observability: write-only instruments, see [run_internal]. *)
+  (* Observability. Every update is guarded (a disabled registry hands
+     out no-op instruments), and nothing below reads a metric back, so
+     the run is bit-for-bit identical with metrics on or off. Handles
+     register on creation, so an instrument its entry point can never
+     move comes from the disabled registry and stays out of the
+     snapshot: fault counters only when a trace was given, streaming
+     ones only in streaming runs. *)
   let live = Metrics.is_enabled metrics in
   let mc_events = Metrics.counter metrics "engine.events" in
   let mc_dispatches = Metrics.counter metrics "engine.dispatches" in
-  let mc_redispatches = Metrics.counter metrics "engine.redispatches" in
-  let mc_spec_starts = Metrics.counter metrics "engine.spec_starts" in
-  let mc_spec_cancelled = Metrics.counter metrics "engine.spec_cancelled" in
-  let mc_kills = Metrics.counter metrics "engine.kills" in
-  let mc_crashes = Metrics.counter metrics "engine.crashes" in
-  let mc_outages = Metrics.counter metrics "engine.outages" in
-  let mc_slowdowns = Metrics.counter metrics "engine.slowdowns" in
-  let mc_completed = Metrics.counter metrics "engine.completed" in
-  let mc_stranded = Metrics.counter metrics "engine.stranded" in
   let mg_queue = Metrics.gauge metrics "engine.queue_depth_max" in
   let mg_makespan = Metrics.gauge metrics "engine.makespan" in
-  let mg_wasted = Metrics.gauge metrics "engine.wasted_work" in
   let mh_idle = Metrics.histogram metrics "engine.machine_idle" in
-  (* Streaming instruments exist only in streaming runs: handles register
-     on creation, so a batch snapshot must never see them. *)
-  let streaming = match arrivals with Some _ -> true | None -> false in
+  let fault_metrics =
+    if Option.is_some faults then metrics else Metrics.disabled
+  in
+  let mc_redispatches = Metrics.counter fault_metrics "engine.redispatches" in
+  let mc_spec_starts = Metrics.counter fault_metrics "engine.spec_starts" in
+  let mc_spec_cancelled =
+    Metrics.counter fault_metrics "engine.spec_cancelled"
+  in
+  let mc_kills = Metrics.counter fault_metrics "engine.kills" in
+  let mc_crashes = Metrics.counter fault_metrics "engine.crashes" in
+  let mc_outages = Metrics.counter fault_metrics "engine.outages" in
+  let mc_slowdowns = Metrics.counter fault_metrics "engine.slowdowns" in
+  let mc_completed = Metrics.counter fault_metrics "engine.completed" in
+  let mc_stranded = Metrics.counter fault_metrics "engine.stranded" in
+  let mg_wasted = Metrics.gauge fault_metrics "engine.wasted_work" in
   let arr = match arrivals with Some a -> a | None -> [||] in
   let stream_metrics = if streaming then metrics else Metrics.disabled in
   let mc_arrivals = Metrics.counter stream_metrics "engine.arrivals" in
@@ -392,26 +281,35 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   for j = 0 to n - 1 do
     ests.(j) <- Instance.est instance j
   done;
-  let sizes = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    sizes.(j) <- Instance.size instance j
-  done;
+  let topo = Instance.topology instance in
+  (* Sizes price staging and transfers; nothing else reads them. *)
+  let sizes =
+    if Option.is_some topo || rec_active then Instance.sizes instance else [||]
+  in
   (* Staging: with a topology, the first copy of task j on each machine
      pulls j's data from its home machine [j mod m] before processing
      starts. The pull is charged as extra work on the copy (staging
      time converted to work units at the machine's current speed), so
      all the slowdown-resync and checkpoint arithmetic below stays
-     consistent without special cases. [staged.(j)] records which
-     machines already hold j's data warm — a checkpoint resume or a
-     landed re-replication transfer never pays twice. Without a
+     consistent without special cases. A machine that already holds j's
+     data warm — a checkpoint resume, a landed re-replication transfer —
+     never pays twice: [warm.(j)] is the first such machine (-1: none)
+     and [warm_more] holds every further (task, machine) pair, so a run
+     that starts every task once allocates nothing per task. Without a
      topology every float operation below is exactly the pre-topology
      engine's, and a single-zone topology charges identically zero —
-     the golden qcheck pins both. *)
-  let topo = Instance.topology instance in
-  let staged =
-    match topo with
-    | None -> [||]
-    | Some _ -> Array.init n (fun _ -> Bitset.create m)
+     the golden qcheck pins both. [stage] receives the staging time from
+     {!Topology.staging_into}: a float returned across a module boundary
+     would be boxed. *)
+  let stage = Array.make 1 0.0 in
+  let warm = lane (Option.is_some topo) (-1) in
+  let warm_more = Hashtbl.create 16 in
+  let is_warm j i =
+    warm.(j) = i || (warm.(j) >= 0 && Hashtbl.mem warm_more ((j * m) + i))
+  in
+  let mark_warm j i =
+    if warm.(j) < 0 then warm.(j) <- i
+    else if warm.(j) <> i then Hashtbl.replace warm_more ((j * m) + i) ()
   in
   (* The machine lanes, destructured into locals once; every handler
      below indexes them directly. *)
@@ -433,25 +331,29 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let ckpt_task = st.Machine_state.ckpt_task in
   let ckpt_work = st.Machine_state.ckpt_work in
   let alive_set = st.Machine_state.alive_set in
-  let available ~time i = alive.(i) && down_until.(i) <= time in
-  let idle ~time i = available ~time i && cur_task.(i) < 0 in
+  (* The simulation clock: a one-cell float array the loop stores the
+     current event time into. Handlers and the dispatch policy read it
+     from here, so no float crosses a call boundary (boxed) per event. *)
+  let now = Array.make 1 0.0 in
+  let available i = alive.(i) && down_until.(i) <= now.(0) in
+  let idle i = available i && cur_task.(i) < 0 in
   let status = Array.make n st_pending in
   (* In a streaming run a task is invisible to the scheduler until its
      arrival fires; batch runs behave as if everything arrived at t=0. *)
-  let arrived = Array.make n (not streaming) in
+  let arrived = lane streaming false in
   let dispatchable = Array.make n (not streaming) in
   let set_status j s =
     status.(j) <- s;
-    dispatchable.(j) <- (s = st_pending && arrived.(j))
+    dispatchable.(j) <- s = st_pending && ((not streaming) || arrived.(j))
   in
   (* The machines running a copy of each task, newest first, split into
      an unboxed head lane ([-1] = no copies) plus a spill list that is
      only ever non-empty under speculation. The single-copy common case
-     therefore never conses. *)
-  let copies_head = Array.make n (-1) in
-  let copies_tail = Array.make n ([] : int list) in
-  let task_gen = Array.make n 0 in
-  let spec_ready = Array.make n false in
+     therefore never conses. Only a contended run reads any of this. *)
+  let copies_head = lane contended (-1) in
+  let copies_tail = lane contended ([] : int list) in
+  let task_gen = lane contended 0 in
+  let spec_ready = lane contended false in
   (* Who holds each task's data *now*. Under an active policy transfers
      grow these sets mid-run, so they are private copies; under
      [Recovery.none] they are the placement arrays themselves and never
@@ -461,9 +363,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   in
   (* In-flight re-replication per task: (src, dst, id). The id guards
      against stale [Sim_transfer] deliveries after an abort. *)
-  let transfer = Array.make n (None : (int * int * int) option) in
+  let transfer = lane rec_active (None : (int * int * int) option) in
   let transfer_none j =
-    match transfer.(j) with None -> true | Some _ -> false
+    (not rec_active) || match transfer.(j) with None -> true | Some _ -> false
   in
   let transfer_id = ref 0 in
   (* Replicas stored on (or reserved for) each machine: the healer's
@@ -477,10 +379,12 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let e_start = Array.make n 0.0 in
   let e_finish = Array.make n 0.0 in
   (* One-cell float arrays, not [float ref]s: storing into a float array
-     is unboxed, [:=] on a float ref allocates the new box per store. *)
+     is unboxed, [:=] on a float ref allocates the new box per store.
+     Completions fire in time order, so the latest is the makespan. *)
   let wasted = Array.make 1 0.0 in
+  let makespan = Array.make 1 0.0 in
+  let completed = ref 0 in
   let loads = Array.make m 0.0 in
-  let now = Array.make 1 0.0 in
   let policy =
     Dispatch.make dispatch
       {
@@ -494,22 +398,38 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         speed = base;
         load = loads;
         now;
-        available = (fun i -> alive.(i) && down_until.(i) <= now.(0));
+        available;
         holders_stable = not rec_active;
         topology = topo;
         size = sizes;
       }
   in
-  let queue = Event_core.create ~dummy:Sim_dispatch () in
-  let push ~time ~machine ~cls sim =
-    Event_core.push queue ~time ~machine ~cls sim;
+  (* The heap's dummy payload is [Sim_complete], so the hot completion
+     push never writes the payload lane. *)
+  let queue = Event_core.create ~dummy:Sim_complete () in
+  let record_depth () =
     if live then
       Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
   in
+  let push ~time ~machine ~cls sim =
+    Event_core.push queue ~time ~machine ~cls sim;
+    record_depth ()
+  in
   let push_aux ~time ~machine ~cls ~aux ~aux2 sim =
     Event_core.push_aux queue ~time ~machine ~cls ~aux ~aux2 sim;
-    if live then
-      Metrics.record_max mg_queue (float_of_int (Event_core.length queue))
+    record_depth ()
+  in
+  (* The completion of machine [i]'s copy at its current speed, written
+     straight into the heap lanes. *)
+  let push_completion i =
+    let s = Event_heap.alloc queue in
+    queue.Event_heap.times.(s) <-
+      now.(0) +. (cur_remaining.(i) /. (base.(i) *. factor.(i)));
+    queue.Event_heap.machines.(s) <- i;
+    queue.Event_heap.classes.(s) <- Event_core.cls_arrival;
+    queue.Event_heap.aux.(s) <- gen.(i);
+    Event_heap.sift_up queue s;
+    record_depth ()
   in
   for i = 0 to m - 1 do
     push ~time:0.0 ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
@@ -518,36 +438,33 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     (fun (e : Fault.event) ->
       push ~time:e.Fault.time ~machine:e.Fault.machine ~cls:Event_core.cls_fault
         (Sim_fault e.Fault.kind))
-    (Trace.events faults);
+    fault_events;
   (* Arrivals ride the virtual source "machine" -1: at an equal instant
      they strike before every per-machine event, so a stream whose
      arrivals all land at t=0 sees the whole workload before the first
      dispatch decision — exactly the batch engine's starting state. *)
-  (match arrivals with
-  | None -> ()
-  | Some a ->
-      Array.iteri
-        (fun j t ->
-          push_aux ~time:t ~machine:(-1) ~cls:Event_core.cls_arrival ~aux:j
-            ~aux2:0 Sim_arrive)
-        a);
-  let wake_idle ~time =
+  Array.iteri
+    (fun j t ->
+      push_aux ~time:t ~machine:(-1) ~cls:Event_core.cls_arrival ~aux:j ~aux2:0
+        Sim_arrive)
+    arr;
+  let wake_idle () =
     for i = 0 to m - 1 do
-      if idle ~time i then
-        push ~time ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
+      if idle i then
+        push ~time:now.(0) ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
     done
   in
   (* A task arrives: it becomes visible to the scheduler and, if still
      alive (early faults may have stranded it before it even showed up),
      joins the dispatch pool. *)
-  let on_arrive ~time j =
+  let on_arrive j =
     arrived.(j) <- true;
     Metrics.incr mc_arrivals;
-    if tr then emit (Arrived { time; task = j });
+    if tr then emit (Arrived { time = now.(0); task = j });
     if status.(j) = st_pending then begin
       dispatchable.(j) <- true;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time
+      wake_idle ()
     end
   in
   (* Online re-replication: copy every under-replicated task's data from
@@ -561,7 +478,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
   let transfer_duration ~src ~dst j =
     Recovery.transfer_time ?topology:topo recovery ~src ~dst ~size:sizes.(j)
   in
-  let heal ~time =
+  let heal () =
     if heals then
       for j = 0 to n - 1 do
         if status.(j) <= st_running && transfer_none j then begin
@@ -571,7 +488,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (try
                Bitset.iter
                  (fun i ->
-                   if available ~time i then begin
+                   if available i then begin
                      src := i;
                      raise Exit
                    end)
@@ -581,7 +498,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
               let dst = ref (-1) and best = ref max_int in
               for i = 0 to m - 1 do
                 if
-                  available ~time i
+                  available i
                   && (not (Bitset.mem data.(j) i))
                   && replica_load.(i) < !best
                 then begin
@@ -590,6 +507,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
                 end
               done;
               if !dst >= 0 then begin
+                let time = now.(0) in
                 incr transfer_id;
                 transfer.(j) <- Some (!src, !dst, !transfer_id);
                 replica_load.(!dst) <- replica_load.(!dst) + 1;
@@ -608,47 +526,52 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
         end
       done
   in
-  let abort_transfers ~time x =
+  let abort_transfers x =
     for j = 0 to n - 1 do
       match transfer.(j) with
       | Some (src, dst, _) when src = x || dst = x ->
           transfer.(j) <- None;
           replica_load.(dst) <- replica_load.(dst) - 1;
-          if tr then emit (Rereplication_aborted { time; task = j; src; dst });
-          Metrics.incr (Metrics.counter metrics "engine.transfer_aborts")
+          if tr then
+            emit (Rereplication_aborted { time = now.(0); task = j; src; dst });
+          Metrics.incr (Metrics.counter fault_metrics "engine.transfer_aborts")
       | _ -> ()
     done
   in
-  let start_copy ~resume ~banked ~time i j =
+  (* Start a copy of task [j] on machine [i] — from scratch, or from the
+     checkpoint of [j] on [i]'s disk when [resume]. *)
+  let start_copy ~resume i j =
+    let time = now.(0) in
+    let banked = if resume then ckpt_work.(i) else 0.0 in
     cur_task.(i) <- j;
     cur_started.(i) <- time;
     cur_remaining.(i) <- (if resume then actuals.(j) -. banked else actuals.(j));
     (match topo with
     | None -> ()
     | Some tp ->
-        if not (Bitset.mem staged.(j) i) then begin
-          Bitset.add staged.(j) i;
-          let s = Topology.staging_time tp ~src:(j mod m) ~dst:i ~size:sizes.(j) in
+        if not (is_warm j i) then begin
+          mark_warm j i;
+          Topology.staging_into tp ~src:(j mod m) ~dst:i ~size:sizes j stage;
           (* Charged as work at the current speed so a later slowdown
              resync rescales the in-flight pull along with the copy. *)
-          if s > 0.0 then
+          if stage.(0) > 0.0 then
             cur_remaining.(i) <-
-              cur_remaining.(i) +. (s *. (base.(i) *. factor.(i)))
+              cur_remaining.(i) +. (stage.(0) *. (base.(i) *. factor.(i)))
         end);
     cur_last.(i) <- time;
-    cur_base.(i) <- (if resume then banked else 0.0);
+    cur_base.(i) <- banked;
     gen.(i) <- gen.(i) + 1;
-    let was_primary = copies_head.(j) < 0 in
-    if was_primary then copies_head.(j) <- i
-    else begin
-      copies_tail.(j) <- copies_head.(j) :: copies_tail.(j);
+    let was_primary = (not contended) || copies_head.(j) < 0 in
+    if contended then begin
+      if not was_primary then
+        copies_tail.(j) <- copies_head.(j) :: copies_tail.(j);
       copies_head.(j) <- i
     end;
     set_status j st_running;
     loads.(i) <- loads.(i) +. ests.(j);
     Metrics.incr mc_dispatches;
     if was_primary then begin
-      if task_gen.(j) > 0 then Metrics.incr mc_redispatches
+      if contended && task_gen.(j) > 0 then Metrics.incr mc_redispatches
     end
     else Metrics.incr mc_spec_starts;
     if tr then emit (Started { time; machine = i; task = j });
@@ -657,11 +580,9 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       if tr then
         emit
           (Checkpoint_resumed { time; machine = i; task = j; progress = banked });
-      Metrics.incr (Metrics.counter metrics "engine.checkpoint_resumes")
+      Metrics.incr (Metrics.counter fault_metrics "engine.checkpoint_resumes")
     end;
-    let finish = time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))) in
-    push_aux ~time:finish ~machine:i ~cls:Event_core.cls_arrival
-      ~aux:(gen.(i)) ~aux2:0 Sim_complete;
+    push_completion i;
     if spec_on && was_primary then begin
       (* Arm the straggler check from estimates only: the scheduler is
          semi-clairvoyant and must not peek at actual times. *)
@@ -676,7 +597,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      [Lost] when no live machine holds its data and no transfer is
      carrying it out. Under a detection latency this is what gets
      deferred until the failure becomes known. *)
-  let release_task ~time j =
+  let release_task j =
     task_gen.(j) <- task_gen.(j) + 1;
     spec_ready.(j) <- false;
     if Bitset.inter_is_empty alive_set data.(j) && transfer_none j then
@@ -684,16 +605,17 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     else begin
       set_status j st_pending;
       Dispatch.notify_available policy ~task:j;
-      wake_idle ~time
+      wake_idle ()
     end
   in
   (* Kill the in-flight copy of machine [i] (crash or outage): the work
      is lost — except what a checkpoint salvages on an outage — and the
      task returns to the pool (immediately, or at failure detection when
      the policy models a latency). *)
-  let kill_current ~salvage ~time i =
+  let kill_current ~salvage i =
     let j = cur_task.(i) in
     if j >= 0 then begin
+      let time = now.(0) in
       let wall = time -. cur_started.(i) in
       let waste =
         if salvage && ckpt_interval > 0.0 then begin
@@ -745,7 +667,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
        else copies_tail.(j) <- remove_machine i copies_tail.(j));
       if copies_head.(j) < 0 then
         if rec_active && det_latency > 0.0 then orphan.(i) <- j
-        else release_task ~time j
+        else release_task j
     end
   in
   (* The disk of a dead machine [i] is gone: strand every waiting task
@@ -765,41 +687,42 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
      the detector fires [det_latency] after the fault, or the machine
      truthfully reports its own outage when it rejoins, whichever comes
      first. Only then is the orphaned copy released for re-dispatch. *)
-  let acknowledge ~time i =
+  let acknowledge i =
     let t0 = undetected.(i) in
     if not (Float.is_nan t0) then begin
+      let time = now.(0) in
       undetected.(i) <- Float.nan;
       if tr then emit (Failure_detected { time; machine = i });
       Metrics.observe
-        (Metrics.histogram metrics "engine.detection_lag")
+        (Metrics.histogram fault_metrics "engine.detection_lag")
         (time -. t0);
       let oj = orphan.(i) in
       if oj >= 0 then begin
         orphan.(i) <- -1;
-        if status.(oj) = st_running && copies_head.(oj) < 0 then
-          release_task ~time oj
+        if status.(oj) = st_running && copies_head.(oj) < 0 then release_task oj
       end;
       if not alive.(i) then strand_scan i
     end
   in
-  let on_transfer ~time ~task ~src ~dst ~id =
+  let on_transfer ~task ~src ~dst ~id =
     match transfer.(task) with
     | Some (_, _, id') when id' = id ->
         transfer.(task) <- None;
         Bitset.add data.(task) dst;
         (* The landed replica is warm: a copy started here later must
            not pay the staging pull again. *)
-        (match topo with None -> () | Some _ -> Bitset.add staged.(task) dst);
-        if tr then emit (Rereplication_completed { time; task; src; dst });
-        Metrics.incr (Metrics.counter metrics "engine.rereplications");
+        (match topo with None -> () | Some _ -> mark_warm task dst);
+        if tr then
+          emit (Rereplication_completed { time = now.(0); task; src; dst });
+        Metrics.incr (Metrics.counter fault_metrics "engine.rereplications");
         Metrics.observe
-          (Metrics.histogram metrics "engine.transfer_time")
+          (Metrics.histogram fault_metrics "engine.transfer_time")
           (transfer_duration ~src ~dst task);
         if status.(task) = st_pending then begin
           Dispatch.notify_available policy ~task;
-          wake_idle ~time
+          wake_idle ()
         end;
-        heal ~time
+        heal ()
     | _ -> () (* aborted (and possibly re-issued): stale delivery *)
   in
   (* First task in priority order that is running a single overdue copy
@@ -821,48 +744,59 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       then j
       else spec_scan i (pos + 1)
   in
-  let dispatch_machine ~time i =
-    if available ~time i && cur_task.(i) < 0 && time >= trust_after.(i) then begin
+  (* The paper's phase-2 rule: an idle machine starts the
+     highest-priority task whose data it holds (as ranked by the
+     dispatch policy). *)
+  let dispatch_machine i =
+    let time = now.(0) in
+    if
+      cur_task.(i) < 0
+      && alive.(i)
+      && down_until.(i) <= time
+      && time >= trust_after.(i)
+    then begin
       (* A machine holding a checkpoint of a waiting task resumes it in
          preference to fresh work: the banked progress makes it the
          cheapest copy anyone can start. *)
       let cj = ckpt_task.(i) in
       if cj >= 0 && status.(cj) = st_pending && Bitset.mem data.(cj) i then
-        start_copy ~resume:true ~banked:(ckpt_work.(i)) ~time i cj
+        start_copy ~resume:true i cj
       else begin
         let j = Dispatch.select_machine policy ~machine:i in
-        if j >= 0 then start_copy ~resume:false ~banked:0.0 ~time i j
+        if j >= 0 then start_copy ~resume:false i j
         else if spec_on then begin
           let sj = spec_scan i 0 in
-          if sj >= 0 then start_copy ~resume:false ~banked:0.0 ~time i sj
+          if sj >= 0 then start_copy ~resume:false i sj
           (* else idle; woken again if work returns to the pool *)
         end
       end
     end
   in
-  let complete ~time i g =
+  let complete i g =
     (* Stale completions (the copy was killed or cancelled) fail the
        generation check. *)
     if cur_task.(i) >= 0 && g = gen.(i) then begin
+      let time = now.(0) in
       let j = cur_task.(i) in
       let started = cur_started.(i) in
       e_machine.(j) <- i;
       e_start.(j) <- started;
       e_finish.(j) <- time;
-      set_status j st_done;
+      (* A running task is already out of the pool. *)
+      status.(j) <- st_done;
+      incr completed;
+      makespan.(0) <- time;
       cur_task.(i) <- -1;
       gen.(i) <- gen.(i) + 1;
       if live then busy.(i) <- busy.(i) +. (time -. started);
       if tr then emit (Completed { time; machine = i; task = j });
       if streaming then Metrics.observe mh_latency (time -. arr.(j));
-      if
-        copies_head.(j) = i
-        && (match copies_tail.(j) with [] -> true | _ -> false)
+      if (not spec_on) || match copies_tail.(j) with [] -> true | _ -> false
       then begin
         (* No speculative copies in flight: the freed machine is the only
            one to re-dispatch, so skip the list plumbing entirely. *)
-        copies_head.(j) <- -1;
-        dispatch_machine ~time i
+        if contended then copies_head.(j) <- -1;
+        dispatch_machine i
       end
       else begin
         (* Speculative losers: first copy to finish wins, the rest abort. *)
@@ -881,12 +815,13 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             Metrics.incr mc_spec_cancelled;
             if tr then emit (Cancelled { time; machine = k; task = j }))
           losers;
-        List.iter (dispatch_machine ~time)
+        List.iter dispatch_machine
           (Dispatch.redispatch_order policy (i :: losers))
       end
     end
   in
-  let on_fault ~time i kind =
+  let on_fault i kind =
+    let time = now.(0) in
     match kind with
     | Fault.Crash ->
         if alive.(i) then begin
@@ -897,8 +832,8 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
           ckpt_task.(i) <- -1;
-          if rec_active then abort_transfers ~time i;
-          kill_current ~salvage:false ~time i;
+          if rec_active then abort_transfers i;
+          kill_current ~salvage:false i;
           if rec_active && det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
             if Float.is_nan undetected.(i) then undetected.(i) <- time;
@@ -909,7 +844,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             (* Strand every waiting task whose last replica the dead disk
                held, then re-replicate whatever it left under target. *)
             strand_scan i;
-            if rec_active then heal ~time
+            if rec_active then heal ()
           end
         end
     | Fault.Outage until ->
@@ -918,7 +853,7 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           down_until.(i) <- Float.max down_until.(i) until;
           if tr then
             emit (Machine_down { time; machine = i; until = down_until.(i) });
-          kill_current ~salvage:true ~time i;
+          kill_current ~salvage:true i;
           if rec_active then begin
             blinks.(i) <- blinks.(i) + 1;
             let b = Recovery.backoff recovery ~blinks:(blinks.(i)) in
@@ -945,23 +880,21 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
             cur_remaining.(i) -. ((time -. cur_last.(i)) *. old_speed);
           cur_last.(i) <- time;
           gen.(i) <- gen.(i) + 1;
-          push_aux
-            ~time:(time +. (cur_remaining.(i) /. (base.(i) *. factor.(i))))
-            ~machine:i ~cls:Event_core.cls_arrival ~aux:(gen.(i)) ~aux2:0
-            Sim_complete
+          push_completion i
         end
   in
-  let on_up ~time i =
+  let on_up i =
+    let time = now.(0) in
     if alive.(i) && time >= down_until.(i) then begin
       if tr then emit (Machine_up { time; machine = i });
       if rec_active then begin
         (* The machine reports its own fate truthfully on rejoin, which
            may beat the detector; its return may also unblock healing
            (as a transfer source or destination). *)
-        acknowledge ~time i;
-        heal ~time
+        acknowledge i;
+        heal ()
       end;
-      if time >= trust_after.(i) then dispatch_machine ~time i
+      if time >= trust_after.(i) then dispatch_machine i
       else
         (* Backoff: the machine blinked recently, so it only receives
            new work once its distrust window expires. *)
@@ -969,11 +902,11 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
           Sim_dispatch
     end
   in
-  let on_detect ~time i =
-    acknowledge ~time i;
-    heal ~time
+  let on_detect i =
+    acknowledge i;
+    heal ()
   in
-  let on_speculate ~time task g =
+  let on_speculate task g =
     if
       task_gen.(task) = g
       && status.(task) = st_running
@@ -988,61 +921,44 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
       let exception Found of int in
       match
         Bitset.iter
-          (fun i -> if i <> runner && idle ~time i then raise (Found i))
+          (fun i -> if i <> runner && idle i then raise (Found i))
           data.(task)
       with
       | () -> ()
-      | exception Found i -> start_copy ~resume:false ~banked:0.0 ~time i task
+      | exception Found i -> start_copy ~resume:false i task
     end
   in
   (* An active healer starts working before the first dispatch: a
      placement below the replication target (k = 1, say) is brought up
      to its per-task target from time zero. (Under [Degree] the initial
      placement already meets the target, so this is a no-op there.) *)
-  if rec_active then heal ~time:0.0;
+  if rec_active then heal ();
   while not (Event_heap.is_empty queue) do
-    let time = queue.Event_heap.times.(0) in
     let machine = queue.Event_heap.machines.(0) in
     let a1 = queue.Event_heap.aux.(0) in
     let a2 = queue.Event_heap.aux2.(0) in
     let sim = queue.Event_heap.payloads.(0) in
+    now.(0) <- queue.Event_heap.times.(0);
     Event_heap.remove_min queue;
     Metrics.incr mc_events;
-    now.(0) <- time;
     match sim with
-    | Sim_fault kind -> on_fault ~time machine kind
-    | Sim_up -> on_up ~time machine
-    | Sim_detect -> on_detect ~time machine
-    | Sim_arrive -> on_arrive ~time a1
-    | Sim_complete -> complete ~time machine a1
-    | Sim_transfer { task; src; dst; id } ->
-        on_transfer ~time ~task ~src ~dst ~id
-    | Sim_dispatch -> dispatch_machine ~time machine
-    | Sim_speculate -> on_speculate ~time a1 a2
+    | Sim_fault kind -> on_fault machine kind
+    | Sim_up -> on_up machine
+    | Sim_detect -> on_detect machine
+    | Sim_arrive -> on_arrive a1
+    | Sim_complete -> complete machine a1
+    | Sim_transfer { task; src; dst; id } -> on_transfer ~task ~src ~dst ~id
+    | Sim_dispatch -> dispatch_machine machine
+    | Sim_speculate -> on_speculate a1 a2
   done;
-  let fates =
-    Array.init n (fun j ->
-        if status.(j) = st_done then
-          Finished
-            {
-              Schedule.machine = e_machine.(j);
-              start = e_start.(j);
-              finish = e_finish.(j);
-            }
-        else Stranded)
-  in
-  let completed = ref 0 and stranded = ref [] in
-  let makespan = Array.make 1 0.0 in
-  for j = n - 1 downto 0 do
-    if status.(j) = st_done then begin
-      incr completed;
-      makespan.(0) <- Float.max makespan.(0) e_finish.(j)
-    end
-    else stranded := j :: !stranded
-  done;
+  let stranded = ref [] in
+  if !completed < n then
+    for j = n - 1 downto 0 do
+      if status.(j) <> st_done then stranded := j :: !stranded
+    done;
   if live then begin
     Metrics.add mc_completed !completed;
-    Metrics.add mc_stranded (List.length !stranded);
+    Metrics.add mc_stranded (n - !completed);
     Metrics.set mg_makespan makespan.(0);
     Metrics.set mg_wasted wasted.(0);
     for i = 0 to m - 1 do
@@ -1052,31 +968,70 @@ let run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
     done
   end;
   {
-    fates;
-    completed = !completed;
-    stranded = !stranded;
-    makespan = makespan.(0);
-    wasted = wasted.(0);
-    metrics = Metrics.snapshot metrics;
+    status;
+    schedule =
+      Schedule.of_soa ~m ~machines:e_machine ~starts:e_start
+        ~finishes:e_finish;
+    n_done = !completed;
+    lost = !stranded;
+    span = makespan.(0);
+    waste = wasted.(0);
+    registry = metrics;
   }
 
-let run_faulty ?speeds ?speculation ?(dispatch = Dispatch.default)
-    ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) instance
-    realization ~faults ~placement ~order =
-  run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-    ~arrivals:None instance realization ~faults ~placement ~order ~tr:false
-    ~emit:(fun _ -> ())
+(* ------------------------------------------------------------------ *)
+(* Entry points: one simulation, shaped per caller.                    *)
+(* ------------------------------------------------------------------ *)
 
-let run_faulty_traced ?speeds ?speculation ?(dispatch = Dispatch.default)
-    ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) instance
-    realization ~faults ~placement ~order =
+let schedule_of r =
+  if r.lost <> [] then raise (Unschedulable r.lost);
+  r.schedule
+
+let outcome_of r =
+  {
+    fates =
+      Array.mapi
+        (fun j s ->
+          if s = st_done then Finished (Schedule.entry r.schedule j)
+          else Stranded)
+        r.status;
+    completed = r.n_done;
+    stranded = r.lost;
+    makespan = r.span;
+    wasted = r.waste;
+    metrics = Metrics.snapshot r.registry;
+  }
+
+(* Every event is emitted at the current clock, so the log is
+   chronological as collected. *)
+let traced f =
   let events = ref [] in
-  let outcome =
-    run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-      ~arrivals:None instance realization ~faults ~placement ~order ~tr:true
-      ~emit:(fun e -> events := e :: !events)
-  in
-  (outcome, sort_events (List.rev !events))
+  let x = f (fun e -> events := e :: !events) in
+  (x, List.rev !events)
+
+let run ?speeds ?dispatch ?metrics instance realization ~placement ~order =
+  schedule_of
+    (simulate ?speeds ?dispatch ?metrics instance realization ~placement ~order)
+
+let run_traced ?speeds ?dispatch ?metrics instance realization ~placement
+    ~order =
+  traced (fun emit ->
+      schedule_of
+        (simulate ?speeds ?dispatch ?metrics ~emit instance realization
+           ~placement ~order))
+
+let run_faulty ?speeds ?speculation ?dispatch ?recovery ?metrics instance
+    realization ~faults ~placement ~order =
+  outcome_of
+    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics ~faults
+       instance realization ~placement ~order)
+
+let run_faulty_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
+    instance realization ~faults ~placement ~order =
+  traced (fun emit ->
+      outcome_of
+        (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics ~faults
+           ~emit instance realization ~placement ~order))
 
 (* ------------------------------------------------------------------ *)
 (* Open-system streaming service mode.                                 *)
@@ -1087,52 +1042,38 @@ type stream_outcome = { outcome : outcome; latencies : float array }
 (* Response time of every finished task, in task-id (= admission) order.
    Stranded tasks contribute nothing: their latency is unbounded, and
    averaging an arbitrary sentinel in would poison the quantiles. *)
-let stream_latencies ~arrivals outcome =
-  let n = Array.length outcome.fates in
-  let count = ref 0 in
-  for j = 0 to n - 1 do
-    match outcome.fates.(j) with
-    | Finished _ -> incr count
-    | Stranded -> ()
-  done;
-  let out = Array.make !count 0.0 in
+let stream_of ~arrivals r =
+  let outcome = outcome_of r in
+  let latencies = Array.make r.n_done 0.0 in
   let k = ref 0 in
-  for j = 0 to n - 1 do
-    match outcome.fates.(j) with
-    | Finished e ->
-        out.(!k) <- e.Schedule.finish -. arrivals.(j);
-        incr k
-    | Stranded -> ()
-  done;
-  out
+  Array.iteri
+    (fun j -> function
+      | Finished e ->
+          latencies.(!k) <- e.Schedule.finish -. arrivals.(j);
+          incr k
+      | Stranded -> ())
+    outcome.fates;
+  { outcome; latencies }
 
-let run_stream ?speeds ?speculation ?(dispatch = Dispatch.default)
-    ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) ?faults instance
-    realization ~arrivals ~placement ~order =
-  let faults =
-    match faults with Some f -> f | None -> Trace.empty ~m:(Instance.m instance)
-  in
-  let outcome =
-    run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-      ~arrivals:(Some arrivals) instance realization ~faults ~placement ~order
-      ~tr:false ~emit:(fun _ -> ())
-  in
-  { outcome; latencies = stream_latencies ~arrivals outcome }
+(* A stream always runs under a trace (empty by default), so it reports
+   the fault instruments like {!run_faulty}. *)
+let stream_faults instance faults =
+  Option.value faults ~default:(Trace.empty ~m:(Instance.m instance))
 
-let run_stream_traced ?speeds ?speculation ?(dispatch = Dispatch.default)
-    ?(recovery = Recovery.none) ?(metrics = Metrics.disabled) ?faults instance
-    realization ~arrivals ~placement ~order =
-  let faults =
-    match faults with Some f -> f | None -> Trace.empty ~m:(Instance.m instance)
-  in
-  let events = ref [] in
-  let outcome =
-    run_faulty_internal ?speeds ?speculation ~dispatch ~recovery ~metrics
-      ~arrivals:(Some arrivals) instance realization ~faults ~placement ~order
-      ~tr:true ~emit:(fun e -> events := e :: !events)
-  in
-  ( { outcome; latencies = stream_latencies ~arrivals outcome },
-    sort_events (List.rev !events) )
+let run_stream ?speeds ?speculation ?dispatch ?recovery ?metrics ?faults
+    instance realization ~arrivals ~placement ~order =
+  stream_of ~arrivals
+    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics
+       ~faults:(stream_faults instance faults) ~arrivals instance realization
+       ~placement ~order)
+
+let run_stream_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
+    ?faults instance realization ~arrivals ~placement ~order =
+  traced (fun emit ->
+      stream_of ~arrivals
+        (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics
+           ~faults:(stream_faults instance faults) ~arrivals ~emit instance
+           realization ~placement ~order))
 
 (* ------------------------------------------------------------------ *)
 (* JSON serialization of events and outcomes (the trace sink's view).  *)

@@ -34,11 +34,19 @@
     single home of that contract); the dispatch policy breaks all other
     ties (the default follows the task order).
 
-    {!run_faulty} extends the same engine with dynamic fault injection
-    (see [Usched_faults]): machines crash permanently mid-run, blink out
-    transiently, or degrade into stragglers, and the engine re-dispatches
-    killed work to surviving replica holders — the Hadoop fault-tolerance
-    story from the paper's introduction, made executable.
+    {b One loop.} Every entry point runs the same event loop. Faults
+    (see [Usched_faults]), recovery, speculation and arrivals only
+    change when the rule above fires: {!run_faulty} adds a failure
+    trace — machines crash permanently mid-run, blink out transiently,
+    or degrade into stragglers, and killed work is re-dispatched to
+    surviving replica holders (the Hadoop fault-tolerance story from the
+    paper's introduction, made executable); {!run_stream} adds arrival
+    times. {!run} is the loop on the empty trace, with no speculation
+    and no recovery, so {!run_faulty} on the empty trace is {!run}
+    bit-for-bit. The [_traced] variants return the events the loop
+    emitted, in the order it processed them — every event carries the
+    clock at which it was emitted, so the log is chronological; at one
+    instant a machine's [Completed] precedes the [Started] it triggers.
 
     {b Observability}: every entry point accepts an optional
     [Usched_obs.Metrics] registry. When one is passed, the engine records
@@ -47,6 +55,17 @@
 
     - [engine.events] (counter): simulation events processed;
     - [engine.dispatches] (counter): task copies started;
+    - [engine.queue_depth_max] (gauge): high-water mark of the event
+      queue;
+    - [engine.makespan] (gauge);
+    - [engine.machine_idle] (histogram): per-machine time not spent
+      processing, over [[0, makespan]] (downtime and a crashed machine's
+      tail count as idle).
+
+    These five are all {!run} registers. The fault entry points
+    ({!run_faulty}, {!run_stream}) also register, even when they stay
+    at zero:
+
     - [engine.redispatches] (counter): copies started for a task whose
       previous copies were all killed (fault recovery);
     - [engine.spec_starts] / [engine.spec_cancelled] (counters):
@@ -54,12 +73,7 @@
     - [engine.kills] (counter): in-flight copies killed by crash/outage;
     - [engine.crashes] / [engine.outages] / [engine.slowdowns] (counters);
     - [engine.completed] / [engine.stranded] (counters);
-    - [engine.queue_depth_max] (gauge): high-water mark of the event
-      queue;
-    - [engine.makespan] / [engine.wasted_work] (gauges);
-    - [engine.machine_idle] (histogram): per-machine time not spent
-      processing, over [[0, makespan]] (downtime and a crashed machine's
-      tail count as idle).
+    - [engine.wasted_work] (gauge).
 
     Under an active recovery policy (and only then — they are registered
     lazily at their first use, so a policy that never triggers them
@@ -164,7 +178,8 @@ val run_traced :
   placement:Bitset.t array ->
   order:int array ->
   Schedule.t * event list
-(** Like {!run}, also returning the chronological event log. *)
+(** Like {!run}, also returning the chronological event log (see the
+    module docstring for its order). *)
 
 (** {1 Fault injection} *)
 
@@ -253,9 +268,8 @@ val run_faulty :
     id, then class (fault events and failure detections before
     completions and data-transfer arrivals, before dispatch decisions),
     then insertion order — so a crash kills a task finishing at exactly
-    the same instant on the same machine, and an empty trace reproduces
-    {!run} bit-for-bit (identical float arithmetic, identical
-    tie-breaking).
+    the same instant on the same machine. An empty trace reproduces
+    {!run} bit-for-bit: both are the same loop.
 
     Raises [Invalid_argument] on malformed inputs, when the trace's
     machine count differs from the instance, or when [speculation] is

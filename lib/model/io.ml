@@ -103,6 +103,12 @@ let split4 line_number line =
   | [ a; b; c; d ] -> (a, b, c, d)
   | _ -> parse_error line_number "expected 4 comma-separated fields"
 
+(* A row's constructor checks (positive estimate, ...) name the row. *)
+let task_row line_number ~id ~est ~size =
+  match Task.make ~id ~est ~size () with
+  | task -> task
+  | exception Invalid_argument message -> parse_error line_number message
+
 let float_field line_number name raw =
   match float_of_string_opt raw with
   | Some v -> v
@@ -125,10 +131,9 @@ let instance_of_string text =
               | Some v -> v
               | None -> parse_error line_number (Printf.sprintf "bad id %S" id_raw)
             in
-            Task.make ~id
+            task_row line_number ~id
               ~est:(float_field line_number "estimate" est_raw)
-              ~size:(float_field line_number "size" size_raw)
-              ())
+              ~size:(float_field line_number "size" size_raw))
           (body_lines text)
       in
       Instance.make ?failure ?speed_band ?topology ~m ~alpha
@@ -165,10 +170,9 @@ let realization_of_string text =
               | Some v -> v
               | None -> parse_error line_number (Printf.sprintf "bad id %S" id_raw)
             in
-            ( Task.make ~id
+            ( task_row line_number ~id
                 ~est:(float_field line_number "estimate" est_raw)
-                ~size:(float_field line_number "size" size_raw)
-                (),
+                ~size:(float_field line_number "size" size_raw),
               float_field line_number "actual" actual_raw ))
           (body_lines text)
       in

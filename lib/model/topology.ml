@@ -122,9 +122,12 @@ let zone_cost t ~src ~dst ~size =
   if src = dst then 0.0
   else t.latency.(src).(dst) +. (size /. t.bandwidth.(src).(dst))
 
-let staging_time t ~src ~dst ~size =
+let[@inline] staging_time t ~src ~dst ~size =
   let zs = t.zone_of.(src) and zd = t.zone_of.(dst) in
   if zs = zd then 0.0 else t.latency.(zs).(zd) +. (size /. t.bandwidth.(zs).(zd))
+
+let staging_into t ~src ~dst ~size j out =
+  out.(0) <- staging_time t ~src ~dst ~size:size.(j)
 
 let float_array_equal a b =
   Array.length a = Array.length b

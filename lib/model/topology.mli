@@ -87,6 +87,13 @@ val staging_time : t -> src:int -> dst:int -> size:float -> float
     and the delay the engine imposes before a machine's first copy of a
     task may start. *)
 
+val staging_into :
+  t -> src:int -> dst:int -> size:float array -> int -> float array -> unit
+(** [staging_into t ~src ~dst ~size j out] stores
+    [staging_time t ~src ~dst ~size:size.(j)] in [out.(0)]. No float
+    crosses the call, so a caller built without cross-module inlining
+    boxes nothing: the engine prices every first copy this way. *)
+
 val equal : t -> t -> bool
 (** Structural equality (zone map and both matrices). *)
 

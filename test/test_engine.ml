@@ -135,6 +135,37 @@ let trace_is_chronological_and_complete () =
   Alcotest.(check int) "2 events per task" 6 (List.length events);
   checkb "sorted by time" true (List.sort Float.compare times = times)
 
+let trace_order_at_tied_instants () =
+  (* Integer estimates realised exactly: both machines finish at t=1 and
+     t=2 together. At one instant each machine's Completed is followed
+     directly by the Started it triggers, machines in id order. *)
+  let instance = instance_of [| 1.0; 1.0; 1.0; 1.0 |] in
+  let realization = Realization.exact instance in
+  let placement = Array.init 4 (fun _ -> Bitset.full 2) in
+  let _, events =
+    Engine.run_traced instance realization ~placement ~order:(submission_order 4)
+  in
+  let show = function
+    | Engine.Started { time; machine; task } ->
+        Printf.sprintf "S t=%g m%d j%d" time machine task
+    | Engine.Completed { time; machine; task } ->
+        Printf.sprintf "C t=%g m%d j%d" time machine task
+    | _ -> Alcotest.fail "run_traced emitted a fault event"
+  in
+  Alcotest.(check (list string))
+    "completion, then the start it triggers"
+    [
+      "S t=0 m0 j0";
+      "S t=0 m1 j1";
+      "C t=1 m0 j0";
+      "S t=1 m0 j2";
+      "C t=1 m1 j1";
+      "S t=1 m1 j3";
+      "C t=2 m0 j2";
+      "C t=2 m1 j3";
+    ]
+    (List.map show events)
+
 let no_idle_while_work_eligible () =
   (* Graham's property: when every task is eligible everywhere, no machine
      idles while unscheduled tasks remain. Check via start times: task
@@ -283,6 +314,8 @@ let () =
           Alcotest.test_case "rejects bad order" `Quick rejects_bad_order;
           Alcotest.test_case "rejects wrong capacity" `Quick rejects_wrong_capacity;
           Alcotest.test_case "trace" `Quick trace_is_chronological_and_complete;
+          Alcotest.test_case "trace order at tied instants" `Quick
+            trace_order_at_tied_instants;
           Alcotest.test_case "LS bound sanity" `Quick no_idle_while_work_eligible;
         ] );
       ( "stress",

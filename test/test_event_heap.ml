@@ -6,7 +6,6 @@
 
 module Event_core = Usched_desim.Event_core
 module Event_heap = Usched_desim.Event_heap
-module Pqueue = Usched_desim.Pqueue
 module Rng = Usched_prng.Rng
 
 let checkb = Alcotest.(check bool)

@@ -193,6 +193,28 @@ let engine_plain_run_metrics () =
       close "one idle unit" 1.0 sum
   | _ -> Alcotest.fail "idle histogram missing"
 
+(* A healthy run registers exactly the instruments it can move: no
+   zero-valued fault, recovery or streaming counters in its snapshot. *)
+let engine_plain_run_names () =
+  let instance =
+    Instance.of_ests ~m:2 ~alpha:Uncertainty.alpha_exact [| 1.0; 2.0; 3.0 |]
+  in
+  let metrics = Metrics.create () in
+  ignore
+    (Engine.run ~metrics instance (Realization.exact instance)
+       ~placement:(Array.init 3 (fun _ -> Bitset.full 2))
+       ~order:(submission_order 3));
+  Alcotest.(check (list string))
+    "healthy instrument names"
+    [
+      "engine.dispatches";
+      "engine.events";
+      "engine.machine_idle";
+      "engine.makespan";
+      "engine.queue_depth_max";
+    ]
+    (List.map fst (Metrics.snapshot metrics))
+
 (* Golden: metrics on vs off never changes a single bit of the outputs. *)
 let scenario_gen =
   QCheck.Gen.(
@@ -467,6 +489,8 @@ let () =
           Alcotest.test_case "speculation counts" `Quick
             engine_speculation_metrics;
           Alcotest.test_case "plain run" `Quick engine_plain_run_metrics;
+          Alcotest.test_case "plain run instrument names" `Quick
+            engine_plain_run_names;
           qtest prop_metrics_golden;
           qtest prop_plain_run_metrics_golden;
         ] );

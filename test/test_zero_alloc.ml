@@ -19,6 +19,7 @@ module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
+module Topology = Usched_model.Topology
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
 module Rng = Usched_prng.Rng
@@ -75,6 +76,23 @@ let healthy_is_allocation_free () =
            label w2)
         true (w2 <= 4096.0))
     [ ("bucketed list-priority", true); ("plain list-priority", false) ]
+
+(* The same under a four-zone topology: cross-zone copies pay a staging
+   pull, and the per-task record of which machines hold a task's data
+   warm must not cost an allocation per task when every task starts
+   once. *)
+let zoned_is_allocation_free () =
+  let topology = Topology.zoned ~m ~zones:4 ~bandwidth:10.0 () in
+  let words n =
+    let instance, realization, placement, order, _ = setup ~shared:false n in
+    let instance = Instance.with_topology instance (Some topology) in
+    measure (fun () -> Engine.run instance realization ~placement ~order)
+  in
+  let w2 = words 2000 and w4 = words 4000 in
+  Alcotest.(check (float 0.0)) "zoned: minor words independent of n" w2 w4;
+  Alcotest.(check bool)
+    (Printf.sprintf "zoned: per-run constant under 4096 words (got %.0f)" w2)
+    true (w2 <= 4096.0)
 
 (* The faulty engine's epilogue materializes one [Finished] fate per
    task (a boxed entry), so per-run minor words grow with n — but the
@@ -143,6 +161,8 @@ let () =
         [
           Alcotest.test_case "healthy loop allocates nothing per task" `Quick
             healthy_is_allocation_free;
+          Alcotest.test_case "zoned run allocates nothing per task" `Quick
+            zoned_is_allocation_free;
           Alcotest.test_case "faulty slope bounded" `Quick
             faulty_slope_is_bounded;
         ] );
