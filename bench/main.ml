@@ -264,6 +264,58 @@ let benches () =
             ignore
               (Engine.run_faulty ~speeds:his disp disp_realization ~faults
                  ~placement:disp_sets ~order:disp_order))));
+    (* The speculation and healing rows again at the sizes of the
+       end-to-end stream-speculate and faulty-heal workloads (perfbench):
+       there the engine's per-event work over all n tasks, not the
+       per-run setup, decides the time. *)
+    (let inst = bench_instance ~n:2500 ~m:200 in
+     let real = Realization.uniform_factor inst (Rng.create ~seed:20 ()) in
+     let sets =
+       Core.Placement.sets
+         ((strat ~m:200 Strategy.(group ~order:Ls ~k:50)).Core.Two_phase
+            .phase1 inst)
+     in
+     let mean_service =
+       let a = Realization.actuals real in
+       Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
+     in
+     let rate = 0.85 *. 200.0 /. mean_service in
+     let fcfs = Array.init 2500 (fun j -> j) in
+     Test.make ~name:"stream/speculate beta=1.2 (n=2500,m=200)"
+       (Staged.stage (fun () ->
+            let arrivals =
+              Arrival.generate (Arrival.poisson ~rate)
+                (Rng.create ~seed:21 ())
+                ~count:2500
+            in
+            ignore
+              (Engine.run_stream ~speculation:1.2 inst real ~arrivals
+                 ~placement:sets ~order:fcfs))));
+    (let inst = bench_instance ~n:5000 ~m:200 in
+     let real = Realization.uniform_factor inst (Rng.create ~seed:22 ()) in
+     let sets =
+       Core.Placement.sets
+         ((strat ~m:200 Strategy.(group ~order:Ls ~k:100)).Core.Two_phase
+            .phase1 inst)
+     in
+     let order = Instance.lpt_order inst in
+     let healthy =
+       Usched_desim.Schedule.makespan
+         (Engine.run inst real ~placement:sets ~order)
+     in
+     let crashes =
+       Trace.random_crashes (Rng.create ~seed:23 ()) ~m:200 ~p:0.3
+         ~horizon:healthy
+     in
+     let recovery =
+       Recovery.make ~detection_latency:1.0
+         ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:100.0 ()
+     in
+     Test.make ~name:"recovery/heal r=2 p=0.3 (n=5000,m=200)"
+       (Staged.stage (fun () ->
+            ignore
+              (Engine.run_faulty ~recovery inst real ~faults:crashes
+                 ~placement:sets ~order))));
     (* Substrates. *)
     Test.make ~name:"prng/xoshiro256 float"
       (Staged.stage (fun () -> ignore (Rng.float rng)));

@@ -25,7 +25,17 @@
    per-machine state is flat arrays whose full-length allocations land
    in the major heap. A per-task lane that only speculation, faults,
    recovery, arrivals or a topology can read is allocated only when
-   that input is present. *)
+   that input is present.
+
+   No handler walks all n tasks per event. Speculation and healing keep
+   small ordered sets (bitsets walked with [Bitset.next]) that the
+   handlers update as tasks change state: an idle machine's backup
+   search visits only the running tasks whose straggler check fired, in
+   priority order, for O(⌈n/62⌉ + candidates) per decision; the healer
+   visits only its worklist, in task-id order, for
+   O(⌈n/62⌉ + |worklist|·m) per pass. Only a crash and its detection
+   still scan every task (aborting transfers, re-marking the worklist,
+   stranding). *)
 
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
@@ -337,6 +347,17 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
   let now = Array.make 1 0.0 in
   let available i = alive.(i) && down_until.(i) <= now.(0) in
   let idle i = available i && cur_task.(i) < 0 in
+  (* Lowest-numbered available / idle member of a holder set from [i]
+     on (-1: none), walked with [Bitset.next] so the search allocates
+     nothing. *)
+  let rec available_holder set i =
+    let i = Bitset.next set i in
+    if i < 0 || available i then i else available_holder set (i + 1)
+  in
+  let rec idle_holder set i =
+    let i = Bitset.next set i in
+    if i < 0 || idle i then i else idle_holder set (i + 1)
+  in
   let status = Array.make n st_pending in
   (* In a streaming run a task is invisible to the scheduler until its
      arrival fires; batch runs behave as if everything arrived at t=0. *)
@@ -353,7 +374,13 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
   let copies_head = lane contended (-1) in
   let copies_tail = lane contended ([] : int list) in
   let task_gen = lane contended 0 in
-  let spec_ready = lane contended false in
+  (* Speculation candidates: the priority positions of the tasks whose
+     straggler check has fired on their current run — added by
+     [on_speculate], removed when the task returns to the pool or
+     completes. An idle machine's backup search walks these members
+     only, in priority order, instead of every task. *)
+  let pos_of = inverse_order ~n order in
+  let spec_cand = Bitset.create (if contended then n else 0) in
   (* Who holds each task's data *now*. Under an active policy transfers
      grow these sets mid-run, so they are private copies; under
      [Recovery.none] they are the placement arrays themselves and never
@@ -391,7 +418,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
         Dispatch.n;
         m;
         order;
-        pos_of = inverse_order ~n order;
+        pos_of;
         dispatchable;
         holders = data;
         est = ests;
@@ -404,8 +431,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
         size = sizes;
       }
   in
-  (* The heap's dummy payload is [Sim_complete], so the hot completion
-     push never writes the payload lane. *)
+  (* [dummy] only fills empty heap slots; every push overwrites it. *)
   let queue = Event_core.create ~dummy:Sim_complete () in
   let record_depth () =
     if live then
@@ -415,21 +441,27 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
     Event_core.push queue ~time ~machine ~cls sim;
     record_depth ()
   in
-  let push_aux ~time ~machine ~cls ~aux ~aux2 sim =
-    Event_core.push_aux queue ~time ~machine ~cls ~aux ~aux2 sim;
-    record_depth ()
-  in
-  (* The completion of machine [i]'s copy at its current speed, written
-     straight into the heap lanes. *)
-  let push_completion i =
+  (* The hot pushes whose time is computed here reserve a heap slot,
+     store the time (and aux data) straight into its lanes, then
+     [commit] it: a float passed to [push] is boxed per call. *)
+  let reserve ~machine ~cls sim =
     let s = Event_heap.alloc queue in
-    queue.Event_heap.times.(s) <-
-      now.(0) +. (cur_remaining.(i) /. (base.(i) *. factor.(i)));
-    queue.Event_heap.machines.(s) <- i;
-    queue.Event_heap.classes.(s) <- Event_core.cls_arrival;
-    queue.Event_heap.aux.(s) <- gen.(i);
+    queue.Event_heap.machines.(s) <- machine;
+    queue.Event_heap.classes.(s) <- cls;
+    queue.Event_heap.payloads.(s) <- sim;
+    s
+  in
+  let commit s =
     Event_heap.sift_up queue s;
     record_depth ()
+  in
+  (* The completion of machine [i]'s copy at its current speed. *)
+  let push_completion i =
+    let s = reserve ~machine:i ~cls:Event_core.cls_arrival Sim_complete in
+    queue.Event_heap.times.(s) <-
+      now.(0) +. (cur_remaining.(i) /. (base.(i) *. factor.(i)));
+    queue.Event_heap.aux.(s) <- gen.(i);
+    commit s
   in
   for i = 0 to m - 1 do
     push ~time:0.0 ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
@@ -443,15 +475,19 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
      they strike before every per-machine event, so a stream whose
      arrivals all land at t=0 sees the whole workload before the first
      dispatch decision — exactly the batch engine's starting state. *)
-  Array.iteri
-    (fun j t ->
-      push_aux ~time:t ~machine:(-1) ~cls:Event_core.cls_arrival ~aux:j ~aux2:0
-        Sim_arrive)
-    arr;
+  for j = 0 to Array.length arr - 1 do
+    let s = reserve ~machine:(-1) ~cls:Event_core.cls_arrival Sim_arrive in
+    queue.Event_heap.times.(s) <- arr.(j);
+    queue.Event_heap.aux.(s) <- j;
+    commit s
+  done;
   let wake_idle () =
     for i = 0 to m - 1 do
-      if idle i then
-        push ~time:now.(0) ~machine:i ~cls:Event_core.cls_decision Sim_dispatch
+      if idle i then begin
+        let s = reserve ~machine:i ~cls:Event_core.cls_decision Sim_dispatch in
+        queue.Event_heap.times.(s) <- now.(0);
+        commit s
+      end
     done
   in
   (* A task arrives: it becomes visible to the scheduler and, if still
@@ -478,60 +514,77 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
   let transfer_duration ~src ~dst j =
     Recovery.transfer_time ?topology:topo recovery ~src ~dst ~size:sizes.(j)
   in
-  let heal () =
-    if heals then
-      for j = 0 to n - 1 do
-        if status.(j) <= st_running && transfer_none j then begin
-          let nlive = Bitset.inter_cardinal alive_set data.(j) in
-          if nlive >= 1 && nlive < target_of j then begin
-            let src = ref (-1) in
-            (try
-               Bitset.iter
-                 (fun i ->
-                   if available i then begin
-                     src := i;
-                     raise Exit
-                   end)
-                 data.(j)
-             with Exit -> ());
-            if !src >= 0 then begin
-              let dst = ref (-1) and best = ref max_int in
-              for i = 0 to m - 1 do
-                if
-                  available i
-                  && (not (Bitset.mem data.(j) i))
-                  && replica_load.(i) < !best
-                then begin
-                  dst := i;
-                  best := replica_load.(i)
-                end
-              done;
-              if !dst >= 0 then begin
-                let time = now.(0) in
-                incr transfer_id;
-                transfer.(j) <- Some (!src, !dst, !transfer_id);
-                replica_load.(!dst) <- replica_load.(!dst) + 1;
-                if tr then
-                  emit
-                    (Rereplication_started
-                       { time; task = j; src = !src; dst = !dst });
-                push
-                  ~time:(time +. transfer_duration ~src:!src ~dst:!dst j)
-                  ~machine:!dst ~cls:Event_core.cls_arrival
-                  (Sim_transfer
-                     { task = j; src = !src; dst = !dst; id = !transfer_id })
-              end
+  (* The heal worklist: every task the healer could still act on, in
+     task-id order. It starts full; a task re-enters when a crash leaves
+     it under target, or its transfer aborts or lands, and leaves inside
+     [heal] once it is done or lost, has a transfer in flight, or has
+     [target] live holders — none of which changes back without one of
+     the re-entering events. *)
+  let worklist = if heals then Bitset.full n else Bitset.create 0 in
+  let heal_task j =
+    if status.(j) > st_running || not (transfer_none j) then
+      Bitset.remove worklist j
+    else
+      let nlive = Bitset.inter_cardinal alive_set data.(j) in
+      if nlive >= target_of j then Bitset.remove worklist j
+      else if nlive >= 1 then begin
+        let src = available_holder data.(j) 0 in
+        if src >= 0 then begin
+          let dst = ref (-1) and best = ref max_int in
+          for i = 0 to m - 1 do
+            if
+              available i
+              && (not (Bitset.mem data.(j) i))
+              && replica_load.(i) < !best
+            then begin
+              dst := i;
+              best := replica_load.(i)
             end
+          done;
+          if !dst >= 0 then begin
+            let time = now.(0) in
+            incr transfer_id;
+            transfer.(j) <- Some (src, !dst, !transfer_id);
+            replica_load.(!dst) <- replica_load.(!dst) + 1;
+            Bitset.remove worklist j;
+            if tr then
+              emit (Rereplication_started { time; task = j; src; dst = !dst });
+            push
+              ~time:(time +. transfer_duration ~src ~dst:!dst j)
+              ~machine:!dst ~cls:Event_core.cls_arrival
+              (Sim_transfer { task = j; src; dst = !dst; id = !transfer_id })
           end
         end
-      done
+      end
   in
-  let abort_transfers x =
+  let rec heal_from j =
+    let j = Bitset.next worklist j in
+    if j >= 0 then begin
+      heal_task j;
+      heal_from (j + 1)
+    end
+  in
+  let heal () = if heals then heal_from 0 in
+  (* Machine [x]'s disk is gone: every transfer touching it aborts, and
+     every live task it held that is now under target goes back on the
+     worklist. The marking happens here, at the crash, not in
+     [strand_scan]: under a detection latency the healer may act on the
+     lost holder before the failure is known. Testing the target here
+     rather than in [heal] keeps a well-replicated task off the
+     worklist when one of its many holders dies. *)
+  let disk_lost x =
     for j = 0 to n - 1 do
+      if
+        heals
+        && status.(j) <= st_running
+        && Bitset.mem data.(j) x
+        && Bitset.inter_cardinal alive_set data.(j) < target_of j
+      then Bitset.add worklist j;
       match transfer.(j) with
       | Some (src, dst, _) when src = x || dst = x ->
           transfer.(j) <- None;
           replica_load.(dst) <- replica_load.(dst) - 1;
+          Bitset.add worklist j;
           if tr then
             emit (Rereplication_aborted { time = now.(0); task = j; src; dst });
           Metrics.incr (Metrics.counter fault_metrics "engine.transfer_aborts")
@@ -587,10 +640,11 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
       (* Arm the straggler check from estimates only: the scheduler is
          semi-clairvoyant and must not peek at actual times. *)
       let expected = ests.(j) /. base.(i) in
-      push_aux
-        ~time:(time +. (spec_beta *. expected))
-        ~machine:i ~cls:Event_core.cls_audit ~aux:j
-        ~aux2:(task_gen.(j)) Sim_speculate
+      let s = reserve ~machine:i ~cls:Event_core.cls_audit Sim_speculate in
+      queue.Event_heap.times.(s) <- time +. (spec_beta *. expected);
+      queue.Event_heap.aux.(s) <- j;
+      queue.Event_heap.aux2.(s) <- task_gen.(j);
+      commit s
     end
   in
   (* Return a copy-less task to the scheduler's pool — or declare it
@@ -599,7 +653,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
      deferred until the failure becomes known. *)
   let release_task j =
     task_gen.(j) <- task_gen.(j) + 1;
-    spec_ready.(j) <- false;
+    Bitset.remove spec_cand pos_of.(j);
     if Bitset.inter_is_empty alive_set data.(j) && transfer_none j then
       set_status j st_lost
     else begin
@@ -709,6 +763,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
     | Some (_, _, id') when id' = id ->
         transfer.(task) <- None;
         Bitset.add data.(task) dst;
+        Bitset.add worklist task;
         (* The landed replica is warm: a copy started here later must
            not pay the staging pull again. *)
         (match topo with None -> () | Some _ -> mark_warm task dst);
@@ -725,18 +780,18 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
         heal ()
     | _ -> () (* aborted (and possibly re-issued): stale delivery *)
   in
-  (* First task in priority order that is running a single overdue copy
-     whose data machine [i] also holds. Speculation is a safety
+  (* First candidate in priority order that is running a single overdue
+     copy whose data machine [i] also holds. Speculation is a safety
      mechanism, not a placement decision, so it stays with the engine
      rather than the dispatch policy. (Defined once — a per-call
      [let rec] closure would allocate on every idle scan.) *)
   let rec spec_scan i pos =
-    if pos >= n then -1
+    let pos = Bitset.next spec_cand pos in
+    if pos < 0 then -1
     else
       let j = order.(pos) in
       if
         status.(j) = st_running
-        && spec_ready.(j)
         && copies_head.(j) >= 0
         && copies_head.(j) <> i
         && (match copies_tail.(j) with [] -> true | _ -> false)
@@ -784,6 +839,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
       e_finish.(j) <- time;
       (* A running task is already out of the pool. *)
       status.(j) <- st_done;
+      if spec_on then Bitset.remove spec_cand pos_of.(j);
       incr completed;
       makespan.(0) <- time;
       cur_task.(i) <- -1;
@@ -832,7 +888,7 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
              checkpoint on it) is gone, in-flight transfers touching the
              machine die, the running copy dies. *)
           ckpt_task.(i) <- -1;
-          if rec_active then abort_transfers i;
+          if rec_active then disk_lost i;
           kill_current ~salvage:false i;
           if rec_active && det_latency > 0.0 then begin
             (* The scheduler only reacts once the detector fires. *)
@@ -913,19 +969,12 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
       && copies_head.(task) >= 0
       && (match copies_tail.(task) with [] -> true | _ -> false)
     then begin
-      spec_ready.(task) <- true;
-      (* Grab an idle surviving holder right now if one exists; otherwise
-         the next machine to go idle picks the task up in
-         [dispatch_machine]. *)
-      let runner = copies_head.(task) in
-      let exception Found of int in
-      match
-        Bitset.iter
-          (fun i -> if i <> runner && idle i then raise (Found i))
-          data.(task)
-      with
-      | () -> ()
-      | exception Found i -> start_copy ~resume:false i task
+      Bitset.add spec_cand pos_of.(task);
+      (* Grab an idle surviving holder right now if one exists (the
+         runner is busy, so never it); otherwise the next machine to go
+         idle picks the task up in [dispatch_machine]. *)
+      let i = idle_holder data.(task) 0 in
+      if i >= 0 then start_copy ~resume:false i task
     end
   in
   (* An active healer starts working before the first dispatch: a

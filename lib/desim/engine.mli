@@ -247,7 +247,11 @@ val run_faulty :
       scheduler is semi-clairvoyant — an idle surviving holder of [j]'s
       data may start a backup copy (at most one duplicate; the copy is
       restarted from scratch). The first copy to finish wins; the other
-      is aborted and its machine-time counted in [wasted].
+      is aborted and its machine-time counted in [wasted]. An idle
+      machine with no fresh work looks for a backup among the tasks
+      whose straggler check has fired and that are still running, in
+      priority order: O(⌈n/62⌉ + ready candidates) per decision, not a
+      walk over all n tasks.
     - {b Dispatch} ([dispatch], default [Dispatch.List_priority]): the
       rule an idle machine uses to pick among eligible tasks, including
       re-dispatch after kills and picks among re-replicated data.
@@ -262,7 +266,11 @@ val run_faulty :
       capped-backoff distrust of blinking machines). With the default
       [none] policy the engine runs the exact pre-recovery code path:
       same branches, same float operations, same events, same metrics —
-      bit-for-bit.
+      bit-for-bit. The healer runs after every crash (or its detection),
+      rejoin and transfer landing, but visits only a worklist of tasks it
+      could still act on — those not done or lost, with no transfer in
+      flight and fewer live holders than their target — in task-id
+      order: O(⌈n/62⌉ + |worklist|·m) per pass, not O(n·⌈m/62⌉).
 
     Determinism: simultaneous events are ordered by time, then machine
     id, then class (fault events and failure detections before

@@ -109,11 +109,25 @@ let fold f init t =
 let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
 
 let rec first_member words k =
-  if k >= Array.length words then raise Not_found
+  if k >= Array.length words then -1
   else if words.(k) = 0 then first_member words (k + 1)
   else (k * bits_per_word) + lowest_bit words.(k)
 
-let choose t = first_member t.words 0
+(* The bits of [i]'s own word below [i] are masked off; the rest of the
+   scan skips zero words. Reads the live words, so a caller may add or
+   remove members between steps of an ascending walk. *)
+let next t i =
+  if i < 0 then invalid_arg "Bitset.next: negative start";
+  let k = i / bits_per_word in
+  if k >= Array.length t.words then -1
+  else
+    let w = t.words.(k) land (-1 lsl (i mod bits_per_word)) in
+    if w <> 0 then (k * bits_per_word) + lowest_bit w
+    else first_member t.words (k + 1)
+
+let choose t =
+  let i = first_member t.words 0 in
+  if i < 0 then raise Not_found else i
 
 (* Sums over a family of sets, one word column at a time. While every
    set seen so far has word [k] empty or full, the 62 positions of word

@@ -44,6 +44,14 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val to_list : t -> int list
 
+val next : t -> int -> int
+(** [next t i] is the smallest member [>= i], or [-1] when there is
+    none. Allocation-free: an ascending walk [next t 0], [next t (j+1)],
+    ... visits the members in the order of {!iter} in
+    O(capacity/62 + cardinal) over the whole walk, and sees members added
+    or removed between its steps. Raises [Invalid_argument] when [i < 0];
+    any [i >= capacity] gives [-1]. *)
+
 val choose : t -> int
 (** Smallest member, found by skipping zero words. Raises [Not_found]
     on the empty set. *)

@@ -55,6 +55,12 @@ let choose_empty_raises () =
   Alcotest.check_raises "choose empty" Not_found (fun () ->
       ignore (Bitset.choose (Bitset.create 5)))
 
+let next_negative_rejected () =
+  Alcotest.check_raises "next below 0"
+    (Invalid_argument "Bitset.next: negative start") (fun () ->
+      ignore (Bitset.next (Bitset.create 5) (-1)));
+  checki "next on an empty capacity" (-1) (Bitset.next (Bitset.create 0) 0)
+
 let iter_ascending () =
   let s = Bitset.of_list 200 [ 150; 3; 77; 0; 199 ] in
   check_list "ascending order" [ 0; 3; 77; 150; 199 ] (Bitset.to_list s)
@@ -172,6 +178,36 @@ let prop_kernels_match_naive =
       && Bitset.cardinal a = List.length members
       && Bitset.inter_cardinal a b = List.length common)
 
+(* [next] from every start, including past the capacity, against the
+   sorted member list; and an ascending walk that removes each member it
+   visits (the engine's lazy worklist) still sees every member once. *)
+let prop_next_matches_naive =
+  QCheck.Test.make ~name:"next matches a mem-loop reference" ~count:300
+    QCheck.(triple (oneofl capacities) (oneofl densities) int)
+    (fun (capacity, density, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let a = random_set rng ~capacity ~density in
+      let members = naive_members a in
+      let expected i =
+        match List.find_opt (fun x -> x >= i) members with
+        | Some x -> x
+        | None -> -1
+      in
+      let starts_ok =
+        List.for_all
+          (fun i -> Bitset.next a i = expected i)
+          (List.init (capacity + 64) Fun.id)
+      in
+      let rec walk acc i =
+        let j = Bitset.next a i in
+        if j < 0 then List.rev acc
+        else begin
+          Bitset.remove a j;
+          walk (j :: acc) (j + 1)
+        end
+      in
+      starts_ok && walk [] 0 = members && Bitset.is_empty a)
+
 (* Families mix full, empty and random words, so word columns stay
    shared, split early, or split late; weights of wildly different
    magnitudes make any change of summation order visible in the bits. *)
@@ -231,6 +267,7 @@ let () =
           Alcotest.test_case "range checks" `Quick out_of_range_rejected;
           Alcotest.test_case "full and singleton" `Quick full_and_singleton;
           Alcotest.test_case "choose empty" `Quick choose_empty_raises;
+          Alcotest.test_case "next range" `Quick next_negative_rejected;
           Alcotest.test_case "iteration order" `Quick iter_ascending;
           Alcotest.test_case "fold" `Quick fold_sums;
           Alcotest.test_case "union/inter" `Quick union_inter;
@@ -246,6 +283,7 @@ let () =
             prop_matches_reference;
             prop_union_cardinality;
             prop_kernels_match_naive;
+            prop_next_matches_naive;
             prop_accumulate_matches_naive;
           ] );
     ]

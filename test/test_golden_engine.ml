@@ -180,6 +180,82 @@ let prop_stream_matches_reference =
       && a.Engine.latencies = b.Engine.latencies
       && ev_a = ev_b)
 
+(* ------------------------- word boundaries -------------------------- *)
+
+(* The engine walks its speculation candidates and its heal worklist as
+   bitsets of 62-member words, so these task counts sit on and around
+   the first word boundaries. Replication is kept at most three, so
+   crashes leave tasks under the healer's target; speculation is always
+   on and the recovery policy always active. *)
+let boundary_scenario =
+  QCheck.make
+    ~print:(fun (n, m, k, p, seed) ->
+      Printf.sprintf "n=%d m=%d k=%d p=%.3f seed=%d" n m k p seed)
+    QCheck.Gen.(
+      let* n = oneofl [ 61; 62; 63; 124; 125; 190 ] in
+      let* m = int_range 3 12 in
+      let* k = int_range 1 3 in
+      let* p = float_range 0.1 0.9 in
+      let* seed = int_bound 1_000_000 in
+      return (n, m, k, p, seed))
+
+let boundary_variants seed =
+  let speculation = List.nth [ 1.1; 1.3; 1.6 ] (seed mod 3) in
+  let recovery =
+    Recovery.make
+      ~detection_latency:(if seed mod 2 = 0 then 0.0 else 0.5)
+      ~rereplication_target:
+        (match seed mod 5 with
+        | 0 | 1 -> Recovery.Fixed 2
+        | 2 | 3 -> Recovery.Fixed 3
+        | _ -> Recovery.Degree)
+      ~bandwidth:1.0
+      ~checkpoint_interval:(if seed mod 7 < 3 then 1.0 else 0.0)
+      ~max_retries:2 ()
+  in
+  (speculation, recovery)
+
+let prop_word_boundaries_match_reference =
+  QCheck.Test.make
+    ~name:"speculation and healing across bitset word boundaries match the \
+           frozen reference"
+    ~count:200 boundary_scenario (fun ((n, _, _, _, seed) as s) ->
+      let instance, realization, placement, order, faults, rng = build s in
+      let speculation, recovery = boundary_variants seed in
+      let faulty_ok =
+        List.for_all
+          (fun dispatch ->
+            let a, ev_a =
+              Engine.run_faulty_traced ~speculation ~dispatch ~recovery
+                ~metrics:(Metrics.create ()) instance realization ~faults
+                ~placement:(placement ()) ~order
+            in
+            let b, ev_b =
+              Reference_engine.run_faulty_traced ~speculation ~dispatch
+                ~recovery ~metrics:(Metrics.create ()) instance realization
+                ~faults ~placement:(placement ()) ~order
+            in
+            outcomes_identical a b && ev_a = ev_b)
+          Dispatch.builtin
+      in
+      let arrivals =
+        Array.init n (fun _ -> Rng.float_range rng ~lo:0.0 ~hi:20.0)
+      in
+      let a, ev_a =
+        Engine.run_stream_traced ~speculation ~recovery
+          ~metrics:(Metrics.create ()) ~faults instance realization ~arrivals
+          ~placement:(placement ()) ~order
+      in
+      let b, ev_b =
+        Reference_engine.run_stream_traced ~speculation ~recovery
+          ~metrics:(Metrics.create ()) ~faults instance realization ~arrivals
+          ~placement:(placement ()) ~order
+      in
+      faulty_ok
+      && outcomes_identical a.Engine.outcome b.Engine.outcome
+      && a.Engine.latencies = b.Engine.latencies
+      && ev_a = ev_b)
+
 (* ------------------------------ suite ------------------------------- *)
 
 let () =
@@ -191,5 +267,6 @@ let () =
             prop_faulty_matches_reference;
             prop_healthy_matches_reference;
             prop_stream_matches_reference;
+            prop_word_boundaries_match_reference;
           ] );
     ]

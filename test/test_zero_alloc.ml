@@ -22,6 +22,7 @@ module Uncertainty = Usched_model.Uncertainty
 module Topology = Usched_model.Topology
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
+module Metrics = Usched_obs.Metrics
 module Rng = Usched_prng.Rng
 module Multifit = Usched_core.Multifit
 module Assign = Usched_core.Assign
@@ -126,6 +127,38 @@ let faulty_slope_is_bounded () =
         true (slope <= 64.0))
     [ ("bare faults", false); ("recovery + speculation", true) ]
 
+(* A speculating stream: tasks arrive one by one (so the run goes
+   through the arrival path, not the batch start), each on two holders,
+   and the straggler checks fire throughout. The per-check backup search
+   and the idle machines' candidate walks must not allocate per task;
+   what grows with n is the outcome's per-task fates, as in the faulty
+   gate above, and each speculative race's short copy lists, under the
+   same 64-word bound (measured: 35.5 words/task). *)
+let stream_speculation_slope_is_bounded () =
+  let run n ?metrics () =
+    let instance, realization, placement, order, _ = setup ~shared:false n in
+    let arrivals = Array.init n (fun j -> 0.4 *. float_of_int j) in
+    fun () ->
+      Engine.run_stream ~speculation:1.2 ?metrics instance realization
+        ~arrivals ~placement ~order
+  in
+  let metrics = Metrics.create () in
+  ignore (run 2000 ~metrics () ());
+  let spec_starts =
+    match Metrics.find (Metrics.snapshot metrics) "engine.spec_starts" with
+    | Some (Metrics.Counter c) -> c
+    | _ -> 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "speculation fires (%d backup copies)" spec_starts)
+    true (spec_starts > 0);
+  let w2 = measure (run 2000 ()) and w4 = measure (run 4000 ()) in
+  let slope = (w4 -. w2) /. 2000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "stream + speculation: slope %.1f words/task under 64"
+       slope)
+    true (slope <= 64.0)
+
 (* The packers: multifit's bisection must not allocate per task beyond
    its one index sort (the old version burned 21.7M minor words at
    n=10k, m=100 — the gate pins the rewrite two orders of magnitude
@@ -165,6 +198,8 @@ let () =
             zoned_is_allocation_free;
           Alcotest.test_case "faulty slope bounded" `Quick
             faulty_slope_is_bounded;
+          Alcotest.test_case "speculating stream slope bounded" `Quick
+            stream_speculation_slope_is_bounded;
         ] );
       ( "packers",
         [
