@@ -882,10 +882,7 @@ let solve_cmd =
       in
       let outcome = so.Usched_desim.Engine.outcome in
       let lat = so.Usched_desim.Engine.latencies in
-      let q p =
-        if Array.length lat = 0 then Float.nan
-        else Usched_stats.Quantile.quantile lat ~q:p
-      in
+      let q p = Usched_stats.Quantile.quantile_or_nan lat ~q:p in
       let mean =
         if Array.length lat = 0 then Float.nan
         else
@@ -898,20 +895,9 @@ let solve_cmd =
         else 0.0
       in
       let utilization =
-        (* Machine-time actually consumed — results plus abandoned
-           copies — over the machine-time available until drain. *)
-        if drain > 0.0 then begin
-          let actuals = Model.Realization.actuals realization in
-          let work = ref outcome.Usched_desim.Engine.wasted in
-          Array.iteri
-            (fun j fate ->
-              match fate with
-              | Usched_desim.Engine.Finished _ -> work := !work +. actuals.(j)
-              | Usched_desim.Engine.Stranded -> ())
-            outcome.Usched_desim.Engine.fates;
-          !work /. (float_of_int m *. drain)
-        end
-        else 0.0
+        Usched_desim.Engine.utilization ~m
+          ~actuals:(Model.Realization.actuals realization)
+          outcome
       in
       Printf.printf
         "\nstream replay (%s, offered load %.3f%s%s): completed %d/%d%s\n\
@@ -1003,11 +989,7 @@ let solve_cmd =
         (outcome.Usched_desim.Engine.makespan /. healthy)
         outcome.Usched_desim.Engine.wasted;
       if rec_active then begin
-        let counter name =
-          match Metrics.find outcome.Usched_desim.Engine.metrics name with
-          | Some (Metrics.Counter c) -> c
-          | _ -> 0
-        in
+        let counter = Metrics.find_counter outcome.Usched_desim.Engine.metrics in
         Printf.printf
           "recovery %s: %d re-replication(s), %d checkpoint resume(s)\n"
           (Format.asprintf "%a" Usched_faults.Recovery.pp recovery)

@@ -1,15 +1,13 @@
 (* The phase-2 engine, as a thin composition of the desim layers:
 
-   - [Machine_state]: per-machine clocks, speeds, up/down state, the
-     in-flight copy, and the recovery bookkeeping — flat int/float
-     lanes the engine destructures into locals and indexes directly;
    - [Event_core] / [Event_heap]: the typed event loop (struct-of-arrays
      4-ary heap) and the simultaneous-event ordering contract;
    - [Dispatch]: the pluggable policy deciding which eligible task an
      idle machine starts, and the re-dispatch order of machines freed
      at the same instant.
 
-   What remains here is the physics: what a crash, outage, slowdown,
+   What remains here is the per-machine state (flat lanes allocated at
+   set-up) and the physics: what a crash, outage, slowdown,
    completion, transfer, checkpoint, or speculation event does to the
    shared task state, and the observability taps around it. One event
    loop ([simulate]) serves all six entry points; the healthy [run] is
@@ -132,6 +130,20 @@ let outcome_schedule ~m outcome =
          (Array.map
             (function Finished e -> e | Stranded -> assert false)
             outcome.fates))
+
+let utilization ~m ~actuals outcome =
+  let drain = outcome.makespan in
+  if drain > 0.0 then begin
+    let work = ref outcome.wasted in
+    Array.iteri
+      (fun j fate ->
+        match fate with
+        | Finished _ -> work := !work +. actuals.(j)
+        | Stranded -> ())
+      outcome.fates;
+    !work /. (float_of_int m *. drain)
+  end
+  else 0.0
 
 (* Task status as unboxed small ints — comparing these never calls the
    polymorphic equality the old variant type did. *)
@@ -321,26 +333,34 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
     if warm.(j) < 0 then warm.(j) <- i
     else if warm.(j) <> i then Hashtbl.replace warm_more ((j * m) + i) ()
   in
-  (* The machine lanes, destructured into locals once; every handler
-     below indexes them directly. *)
-  let st = Machine_state.create ?speeds ~m () in
-  let base = st.Machine_state.base in
-  let alive = st.Machine_state.alive in
-  let down_until = st.Machine_state.down_until in
-  let factor = st.Machine_state.factor in
-  let gen = st.Machine_state.gen in
-  let cur_task = st.Machine_state.cur_task in
-  let cur_started = st.Machine_state.cur_started in
-  let cur_remaining = st.Machine_state.cur_remaining in
-  let cur_last = st.Machine_state.cur_last in
-  let cur_base = st.Machine_state.cur_base in
-  let orphan = st.Machine_state.orphan in
-  let undetected = st.Machine_state.undetected in
-  let blinks = st.Machine_state.blinks in
-  let trust_after = st.Machine_state.trust_after in
-  let ckpt_task = st.Machine_state.ckpt_task in
-  let ckpt_work = st.Machine_state.ckpt_work in
-  let alive_set = st.Machine_state.alive_set in
+  (* Struct-of-arrays machine state: flat int/float lanes of length m
+     (major heap for any non-toy instance, so mutating them never
+     touches the minor allocator), indexed directly by every handler.
+     Options are sentinel values: [cur_task = -1] is an idle machine,
+     [orphan = -1] / [ckpt_task = -1] nothing, [undetected = nan] no
+     pending failure. Recovery lanes keep their initial values
+     throughout under [Recovery.none]. *)
+  let base =
+    match speeds with None -> Array.make m 1.0 | Some s -> Array.copy s
+  in
+  let alive = Array.make m true in
+  let down_until = Array.make m 0.0 (* unavailable while now < this *) in
+  let factor = Array.make m 1.0 (* straggler speed multiplier *) in
+  let gen = Array.make m 0 (* invalidates queued completion events *) in
+  (* The in-flight copy. *)
+  let cur_task = Array.make m (-1) in
+  let cur_started = Array.make m 0.0 in
+  let cur_remaining = Array.make m 0.0 (* actual-time work left *) in
+  let cur_last = Array.make m 0.0 (* when cur_remaining was synced *) in
+  let cur_base = Array.make m 0.0 (* work resumed from a checkpoint *) in
+  (* Recovery bookkeeping. *)
+  let orphan = Array.make m (-1) (* killed, undetected copy's task *) in
+  let undetected = Array.make m Float.nan (* earliest undetected failure *) in
+  let blinks = Array.make m 0 (* outages so far, drives backoff *) in
+  let trust_after = Array.make m 0.0 (* no dispatches before this *) in
+  let ckpt_task = Array.make m (-1) (* checkpointed task on local disk *) in
+  let ckpt_work = Array.make m 0.0 (* work banked by that checkpoint *) in
+  let alive_set = Bitset.full m in
   (* The simulation clock: a one-cell float array the loop stores the
      current event time into. Handlers and the dispatch policy read it
      from here, so no float crosses a call boundary (boxed) per event. *)
@@ -882,7 +902,8 @@ let simulate ?speeds ?speculation ?(dispatch = Dispatch.default)
     | Fault.Crash ->
         if alive.(i) then begin
           Metrics.incr mc_crashes;
-          Machine_state.mark_crashed st i;
+          alive.(i) <- false;
+          Bitset.remove alive_set i;
           if tr then emit (Machine_crashed { time; machine = i });
           (* Physical consequences are immediate: the disk (and any
              checkpoint on it) is gone, in-flight transfers touching the

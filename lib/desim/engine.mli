@@ -1,9 +1,8 @@
 (** The phase-2 execution engine — a thin composition of the layered
-    desim core: [Machine_state] (per-machine clocks, speeds, up/down
-    state, checkpoint store), [Event_core] (the typed priority-queue
-    event loop with its simultaneous-event ordering contract), and
-    {!Dispatch} (the pluggable policy deciding which eligible task an
-    idle machine starts).
+    desim core: [Event_core] (the typed priority-queue event loop with
+    its simultaneous-event ordering contract) and {!Dispatch} (the
+    pluggable policy deciding which eligible task an idle machine
+    starts); per-machine state is flat lanes inside the engine.
 
     Every online policy in the paper is an instance of {e
     eligibility-restricted list scheduling}: tasks carry a fixed priority
@@ -213,6 +212,11 @@ val outcome_schedule : m:int -> outcome -> Schedule.t option
 (** The outcome as a {!Schedule.t} over [m] machines when every task
     finished; [None] as soon as one task is stranded. *)
 
+val utilization : m:int -> actuals:float array -> outcome -> float
+(** Machine time consumed — the actuals of the finished tasks plus the
+    wasted work of abandoned copies — over the [m * makespan] available
+    until the last completion; [0.0] when the makespan is [0]. *)
+
 val run_faulty :
   ?speeds:float array ->
   ?speculation:float ->
@@ -270,7 +274,12 @@ val run_faulty :
       rejoin and transfer landing, but visits only a worklist of tasks it
       could still act on — those not done or lost, with no transfer in
       flight and fewer live holders than their target — in task-id
-      order: O(⌈n/62⌉ + |worklist|·m) per pass, not O(n·⌈m/62⌉).
+      order: O(⌈n/62⌉ + |worklist|·m) per pass, not O(n·⌈m/62⌉). It
+      counts live holders against the physical machine set: under a
+      detection latency, a heal run by another event before the
+      detector fires already re-replicates a crashed holder's tasks,
+      while stranding and the re-dispatch of the killed copy wait for
+      the detection.
 
     Determinism: simultaneous events are ordered by time, then machine
     id, then class (fault events and failure detections before

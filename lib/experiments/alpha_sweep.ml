@@ -1,4 +1,3 @@
-module Instance = Usched_model.Instance
 module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Core = Usched_core
@@ -29,68 +28,47 @@ let run config =
     "Alpha sweep -- from offline (alpha=1) toward non-clairvoyant (alpha large)";
   let m = 4 in
   let alphas = [ 1.0; 1.1; 1.25; 1.5; 1.75; 2.0; 2.5; 3.0; 4.0 ] in
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("alpha", Table.Right);
-          ("no-repl worst", Table.Right);
-          ("no-repl Th2", Table.Right);
-          ("full-repl worst", Table.Right);
-          ("full-repl bound", Table.Right);
-          ("Th1 impossibility", Table.Right);
-        ]
+  let rows =
+    List.map
+      (fun alpha ->
+        let instances = instances_at config ~m ~alpha in
+        let worst spec =
+          worst_over_instances config (Runner.strategy config ~m spec) instances
+        in
+        let no_repl = worst Strategy.(no_replication Lpt) in
+        (alpha, no_repl, worst Strategy.(full_replication Lpt)))
+      alphas
   in
-  let measured_nc = ref [] and measured_fr = ref [] in
-  let csv_rows = ref [] in
-  List.iter
-    (fun alpha ->
-      let instances = instances_at config ~m ~alpha in
-      let no_repl =
-        worst_over_instances config
-          (Runner.strategy config ~m Strategy.(no_replication Lpt))
-          instances
-      in
-      let full_repl =
-        worst_over_instances config
-          (Runner.strategy config ~m Strategy.(full_replication Lpt))
-          instances
-      in
-      measured_nc := (alpha, no_repl) :: !measured_nc;
-      measured_fr := (alpha, full_repl) :: !measured_fr;
-      csv_rows :=
-        [
-          Printf.sprintf "%.4f" alpha;
-          Printf.sprintf "%.6f" no_repl;
-          Printf.sprintf "%.6f" (Core.Guarantees.lpt_no_choice ~m ~alpha);
-          Printf.sprintf "%.6f" full_repl;
-          Printf.sprintf "%.6f" (Core.Guarantees.full_replication ~m ~alpha);
-          Printf.sprintf "%.6f"
-            (Core.Guarantees.no_replication_lower_bound ~m ~alpha);
-        ]
-        :: !csv_rows;
-      Table.add_row table
-        [
-          Table.cell_float ~decimals:2 alpha;
-          Table.cell_float no_repl;
-          Table.cell_float (Core.Guarantees.lpt_no_choice ~m ~alpha);
-          Table.cell_float full_repl;
-          Table.cell_float (Core.Guarantees.full_replication ~m ~alpha);
-          Table.cell_float (Core.Guarantees.no_replication_lower_bound ~m ~alpha);
-        ])
-    alphas;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"alpha_sweep"
-    ~header:
-      [ "alpha"; "no_repl_worst"; "th2"; "full_repl_worst"; "full_bound"; "th1" ]
-    (List.rev !csv_rows);
-  let to_points l = Array.of_list (List.rev_map (fun (x, y) -> (x, y)) l) in
+  let alpha (a, _, _) = a and guarantee g (a, _, _) = g ~m ~alpha:a in
+  Sheet.emit config ~csv:"alpha_sweep"
+    [
+      Sheet.column "alpha"
+        (fun r -> Table.cell_float ~decimals:2 (alpha r))
+        ~csv:[ ("alpha", fun r -> Printf.sprintf "%.4f" (alpha r)) ];
+      Sheet.num ~csv:"no_repl_worst" "no-repl worst" (fun (_, nr, _) -> nr);
+      Sheet.num ~csv:"th2" "no-repl Th2" (guarantee Core.Guarantees.lpt_no_choice);
+      Sheet.num ~csv:"full_repl_worst" "full-repl worst" (fun (_, _, fr) -> fr);
+      Sheet.num ~csv:"full_bound" "full-repl bound"
+        (guarantee Core.Guarantees.full_replication);
+      Sheet.num ~csv:"th1" "Th1 impossibility"
+        (guarantee Core.Guarantees.no_replication_lower_bound);
+    ]
+    rows;
+  let points f = Array.of_list (List.map f rows) in
   print_string
     (Plot.plot ~width:64 ~height:16 ~x_label:"alpha" ~y_label:"worst ratio"
        ~title:(Printf.sprintf "Measured worst adversarial ratios, m=%d" m)
        [
-         { Plot.label = "no replication"; glyph = 'n'; points = to_points !measured_nc };
-         { Plot.label = "full replication"; glyph = 'f'; points = to_points !measured_fr };
+         {
+           Plot.label = "no replication";
+           glyph = 'n';
+           points = points (fun (a, nr, _) -> (a, nr));
+         };
+         {
+           Plot.label = "full replication";
+           glyph = 'f';
+           points = points (fun (a, _, fr) -> (a, fr));
+         };
        ]);
   Printf.printf
     "Reading: at alpha=1 both match the offline LPT behaviour; the\n\

@@ -1,4 +1,3 @@
-module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload

@@ -1,79 +1,40 @@
-module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Schedule = Usched_desim.Schedule
 module Engine = Usched_desim.Engine
 module Trace = Usched_faults.Trace
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
 module Table = Usched_report.Table
-module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
+module F = Fault_fixture
 
-let m = 6
-let n = 36
-let alpha = 1.5
+let m = F.m
+let n = F.n
 let rates = [ 0.1; 0.25; 0.5 ]
 
-(* Ring placement with [k] replicas: task [j] lives on machines
-   [j mod m .. (j+k-1) mod m]. The rings are nested in [k], so under one
-   crash trace a task stranded at [k+1] replicas is also stranded at [k]
-   — completion probability is monotone in [k] by construction, which is
-   what makes the first table a clean sweep of the replication degree. *)
-let ring_placement ~k =
-  Core.Placement.of_sets ~m
-    (Array.init n (fun j ->
-         Bitset.of_list m (List.init k (fun i -> (j + i) mod m))))
-
-type cell = {
-  task_completion : Summary.t; (* fraction of tasks completed per run *)
-  full_runs : int ref; (* runs with zero stranded tasks *)
-  runs : int ref;
-  degradation : Summary.t; (* faulty/healthy makespan, full runs only *)
-  wasted : Summary.t; (* wasted work / total actual work *)
-}
-
-let cell () =
-  {
-    task_completion = Summary.create ();
-    full_runs = ref 0;
-    runs = ref 0;
-    degradation = Summary.create ();
-    wasted = Summary.create ();
-  }
-
-let record cell ~healthy ~total_work (outcome : Engine.outcome) =
-  incr cell.runs;
-  Summary.add cell.task_completion
-    (float_of_int outcome.Engine.completed /. float_of_int n);
-  Summary.add cell.wasted (outcome.Engine.wasted /. total_work);
-  if outcome.Engine.stranded = [] then begin
-    incr cell.full_runs;
-    Summary.add cell.degradation (outcome.Engine.makespan /. healthy)
-  end
-
-let cell_row cell =
-  [
-    Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.task_completion);
-    Printf.sprintf "%d/%d" !(cell.full_runs) !(cell.runs);
-    (if Summary.count cell.degradation = 0 then "-"
-     else Table.cell_float (Summary.mean cell.degradation));
-    (if Summary.count cell.degradation = 0 then "-"
-     else Table.cell_float (Summary.max cell.degradation));
-    Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.wasted);
-  ]
-
-let generate rng =
-  let instance =
-    Workload.generate
-      (Workload.Uniform { lo = 1.0; hi = 10.0 })
-      ~n ~m
-      ~alpha:(Uncertainty.alpha alpha)
-      rng
+(* One repetition's paired draws: workload, realization, and a crash
+   trace at [rate] with crash times uniform in the k=1 ring's healthy
+   makespan. *)
+let crash_draws ~rate rng =
+  let instance, realization = F.generate ~n ~m rng in
+  let order = Instance.lpt_order instance in
+  let horizon =
+    Schedule.makespan
+      (Engine.run instance realization ~placement:(F.ring ~k:1) ~order)
   in
-  (instance, Realization.log_uniform_factor instance rng)
+  let faults = Trace.random_crashes rng ~m ~p:rate ~horizon in
+  (instance, realization, order, faults)
+
+(* Rows of parts A and B: (crash rate, replicas k or strategy, cell). *)
+let crash_rate =
+  Sheet.column "crash rate"
+    (fun (rate, _, _) -> Printf.sprintf "%.2f" rate)
+    ~csv:[ ("rate", fun (rate, _, _) -> Printf.sprintf "%.4f" rate) ]
+
+let cell_cols =
+  let f (_, _, c) = c in
+  [ F.tasks_done f; F.full_runs f; F.mean_degr f; F.worst_degr f; F.wasted f ]
 
 (* ----------------- part A: replication degree sweep ----------------- *)
 
@@ -84,74 +45,46 @@ let degree_sweep config =
     "A. Replication degree: n=%d tasks, m=%d machines, alpha=%g, nested\n\
      ring placements, LPT order, crash times uniform in the k=1 healthy\n\
      makespan. One crash trace per repetition, shared across every k.\n\n"
-    n m alpha;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("crash rate", Table.Right);
-          ("replicas k", Table.Right);
-          ("tasks done", Table.Right);
-          ("full runs", Table.Right);
-          ("mean degr", Table.Right);
-          ("worst degr", Table.Right);
-          ("wasted", Table.Right);
-        ]
+    n m F.alpha;
+  let rows =
+    List.concat
+      (List.mapi
+         (fun rate_idx rate ->
+           let cells =
+             List.map (fun k -> (rate, string_of_int k, F.cell ())) ks
+           in
+           Runner.paired config
+             ~seed:(config.Runner.seed + (7919 * rate_idx))
+             ~reps
+             (fun rng ->
+               let instance, realization, order, faults =
+                 crash_draws ~rate rng
+               in
+               let total_work = Realization.total realization in
+               List.map
+                 (fun k ->
+                   let placement = F.ring ~k in
+                   let healthy =
+                     Schedule.makespan
+                       (Engine.run instance realization ~placement ~order)
+                   in
+                   ( healthy,
+                     total_work,
+                     Engine.run_faulty instance realization ~faults
+                       ~placement ~order ))
+                 ks)
+             (List.iter2
+                (fun (_, _, cell) (healthy, total_work, outcome) ->
+                  F.record cell ~healthy ~total_work outcome)
+                cells);
+           cells)
+         rates)
   in
-  let csv_rows = ref [] in
-  List.iteri
-    (fun rate_idx rate ->
-      let cells = List.map (fun k -> (k, cell ())) ks in
-      let master = Rng.create ~seed:(config.Runner.seed + (7919 * rate_idx)) () in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance, realization = generate rng in
-        let order = Instance.lpt_order instance in
-        let total_work = Realization.total realization in
-        let horizon =
-          Schedule.makespan
-            (Engine.run instance realization
-               ~placement:(Core.Placement.sets (ring_placement ~k:1))
-               ~order)
-        in
-        let faults = Trace.random_crashes rng ~m ~p:rate ~horizon in
-        List.iter
-          (fun (k, cell) ->
-            let placement = Core.Placement.sets (ring_placement ~k) in
-            let healthy =
-              Schedule.makespan (Engine.run instance realization ~placement ~order)
-            in
-            let outcome =
-              Engine.run_faulty instance realization ~faults ~placement ~order
-            in
-            record cell ~healthy ~total_work outcome)
-          cells
-      done;
-      List.iter
-        (fun (k, cell) ->
-          let row = cell_row cell in
-          Table.add_row table
-            (Printf.sprintf "%.2f" rate :: string_of_int k :: row);
-          csv_rows :=
-            [
-              Printf.sprintf "%.4f" rate;
-              string_of_int k;
-              Printf.sprintf "%.6f" (Summary.mean cell.task_completion);
-              Printf.sprintf "%d" !(cell.full_runs);
-              Printf.sprintf "%d" !(cell.runs);
-              (if Summary.count cell.degradation = 0 then "nan"
-               else Printf.sprintf "%.6f" (Summary.mean cell.degradation));
-              Printf.sprintf "%.6f" (Summary.mean cell.wasted);
-            ]
-            :: !csv_rows)
-        cells)
-    rates;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"fault_sweep_degree"
-    ~header:
-      [ "rate"; "k"; "task_completion"; "full_runs"; "runs"; "mean_degradation";
-        "wasted_fraction" ]
-    (List.rev !csv_rows);
+  Sheet.emit config ~csv:"fault_sweep_degree"
+    (crash_rate
+    :: Sheet.text ~align:Table.Right ~csv:"k" "replicas k" (fun (_, k, _) -> k)
+    :: cell_cols)
+    rows;
   Printf.printf
     "\nCompletion climbs monotonically with k (nested rings: losing a task\n\
      at k+1 replicas implies losing it at k); degradation and wasted work\n\
@@ -177,76 +110,42 @@ let strategy_sweep config =
     "\nB. The paper's strategies under mid-run crashes (same workload and\n\
      crash trace for every strategy within a repetition; the faulty run\n\
      re-dispatches in LPT order).\n\n";
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("strategy", Table.Left);
-          ("crash rate", Table.Right);
-          ("tasks done", Table.Right);
-          ("full runs", Table.Right);
-          ("mean degr", Table.Right);
-          ("worst degr", Table.Right);
-          ("wasted", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
-  List.iter
-    (fun (name, spec) ->
-      let algo = Runner.strategy config ~m spec in
-      List.iteri
-        (fun rate_idx rate ->
-          let cell = cell () in
-          let master =
-            Rng.create ~seed:(config.Runner.seed + (7919 * rate_idx)) ()
-          in
-          for _ = 1 to reps do
+  let rows =
+    List.concat_map
+      (fun (name, spec) ->
+        let algo = Runner.strategy config ~m spec in
+        List.mapi
+          (fun rate_idx rate ->
+            let cell = F.cell () in
             (* Identical streams per (rate, rep) across strategies: the
                instance, realization, and trace are all paired. *)
-            let rng = Rng.split master in
-            let instance, realization = generate rng in
-            let order = Instance.lpt_order instance in
-            let total_work = Realization.total realization in
-            let horizon =
-              Schedule.makespan
-                (Engine.run instance realization
-                   ~placement:(Core.Placement.sets (ring_placement ~k:1))
-                   ~order)
-            in
-            let faults = Trace.random_crashes rng ~m ~p:rate ~horizon in
-            let placement = algo.Core.Two_phase.phase1 instance in
-            let healthy =
-              Schedule.makespan
-                (algo.Core.Two_phase.phase2 instance placement realization)
-            in
-            let outcome =
-              Engine.run_faulty instance realization ~faults
-                ~placement:(Core.Placement.sets placement)
-                ~order
-            in
-            record cell ~healthy ~total_work outcome
-          done;
-          Table.add_row table (name :: Printf.sprintf "%.2f" rate :: cell_row cell);
-          csv_rows :=
-            [
-              name;
-              Printf.sprintf "%.4f" rate;
-              Printf.sprintf "%.6f" (Summary.mean cell.task_completion);
-              Printf.sprintf "%d" !(cell.full_runs);
-              Printf.sprintf "%d" !(cell.runs);
-              (if Summary.count cell.degradation = 0 then "nan"
-               else Printf.sprintf "%.6f" (Summary.mean cell.degradation));
-              Printf.sprintf "%.6f" (Summary.mean cell.wasted);
-            ]
-            :: !csv_rows)
-        rates)
-    strategy_specs;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"fault_sweep_strategies"
-    ~header:
-      [ "strategy"; "rate"; "task_completion"; "full_runs"; "runs";
-        "mean_degradation"; "wasted_fraction" ]
-    (List.rev !csv_rows)
+            Runner.paired config
+              ~seed:(config.Runner.seed + (7919 * rate_idx))
+              ~reps
+              (fun rng ->
+                let instance, realization, order, faults =
+                  crash_draws ~rate rng
+                in
+                let placement = algo.Core.Two_phase.phase1 instance in
+                let healthy =
+                  Schedule.makespan
+                    (algo.Core.Two_phase.phase2 instance placement realization)
+                in
+                ( healthy,
+                  Realization.total realization,
+                  Engine.run_faulty instance realization ~faults
+                    ~placement:(Core.Placement.sets placement)
+                    ~order ))
+              (fun (healthy, total_work, outcome) ->
+                F.record cell ~healthy ~total_work outcome);
+            (rate, name, cell))
+          rates)
+      strategy_specs
+  in
+  Sheet.emit config ~csv:"fault_sweep_strategies"
+    (Sheet.text ~csv:"strategy" "strategy" (fun (_, name, _) -> name)
+    :: crash_rate :: cell_cols)
+    rows
 
 (* ----------------- part C: speculation vs stragglers ---------------- *)
 
@@ -259,63 +158,49 @@ let speculation_sweep config =
      backup once a copy runs past %.1fx its estimate (first copy to\n\
      finish wins). Replication is what makes speculation possible.\n\n"
     beta;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("placement", Table.Left);
-          ("speculation", Table.Left);
-          ("mean slowdown", Table.Right);
-          ("worst slowdown", Table.Right);
-          ("wasted", Table.Right);
-        ]
+  let rows =
+    List.concat_map
+      (fun (pname, k) ->
+        List.map
+          (fun speculation ->
+            let slowdown = Summary.create () and waste = Summary.create () in
+            Runner.paired config ~seed:(config.Runner.seed + 31337) ~reps
+              (fun rng ->
+                let instance, realization = F.generate ~n ~m rng in
+                let order = Instance.lpt_order instance in
+                let placement = F.ring ~k in
+                let healthy =
+                  Schedule.makespan
+                    (Engine.run instance realization ~placement ~order)
+                in
+                let faults =
+                  Trace.random_slowdowns rng ~m ~p:0.3 ~horizon:healthy
+                    ~factor:(0.2, 0.5)
+                in
+                let outcome =
+                  Engine.run_faulty ?speculation instance realization ~faults
+                    ~placement ~order
+                in
+                ( outcome.Engine.makespan /. healthy,
+                  outcome.Engine.wasted /. Realization.total realization ))
+              (fun (s, w) ->
+                Summary.add slowdown s;
+                Summary.add waste w);
+            (pname, speculation, slowdown, waste))
+          [ None; Some beta ])
+      [ ("ring k=2", 2); ("ring k=3", 3); ("full (k=6)", 6) ]
   in
-  let placements =
+  Sheet.emit config
     [
-      ("ring k=2", 2);
-      ("ring k=3", 3);
-      ("full (k=6)", 6);
+      Sheet.text "placement" (fun (p, _, _, _) -> p);
+      Sheet.text "speculation" (function
+        | _, None, _, _ -> "off"
+        | _, Some b, _, _ -> Printf.sprintf "beta=%.1f" b);
+      Sheet.num "mean slowdown" (fun (_, _, s, _) -> Summary.mean s);
+      Sheet.num "worst slowdown" (fun (_, _, s, _) -> Summary.max s);
+      Sheet.pct "wasted" (fun (_, _, _, w) -> Summary.mean w);
     ]
-  in
-  List.iter
-    (fun (pname, k) ->
-      List.iter
-        (fun speculation ->
-          let slowdown = Summary.create () and waste = Summary.create () in
-          let master = Rng.create ~seed:(config.Runner.seed + 31337) () in
-          for _ = 1 to reps do
-            let rng = Rng.split master in
-            let instance, realization = generate rng in
-            let order = Instance.lpt_order instance in
-            let placement = Core.Placement.sets (ring_placement ~k) in
-            let healthy =
-              Schedule.makespan (Engine.run instance realization ~placement ~order)
-            in
-            let faults =
-              Trace.random_slowdowns rng ~m ~p:0.3 ~horizon:healthy
-                ~factor:(0.2, 0.5)
-            in
-            let outcome =
-              Engine.run_faulty ?speculation instance realization ~faults
-                ~placement ~order
-            in
-            Summary.add slowdown (outcome.Engine.makespan /. healthy);
-            Summary.add waste
-              (outcome.Engine.wasted /. Realization.total realization)
-          done;
-          Table.add_row table
-            [
-              pname;
-              (match speculation with
-              | None -> "off"
-              | Some b -> Printf.sprintf "beta=%.1f" b);
-              Table.cell_float (Summary.mean slowdown);
-              Table.cell_float (Summary.max slowdown);
-              Printf.sprintf "%.1f%%" (100.0 *. Summary.mean waste);
-            ])
-        [ None; Some beta ])
-    placements;
-  print_string (Table.render table);
+    rows;
   Printf.printf
     "\nSpeculation trades duplicate work for response time, exactly the\n\
      replication-for-latency tradeoff of the queueing literature (Wang\n\

@@ -10,9 +10,6 @@
    full replication at equal-or-better completion. *)
 
 module Instance = Usched_model.Instance
-module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Topology = Usched_model.Topology
 module Schedule = Usched_desim.Schedule
 module Engine = Usched_desim.Engine
@@ -22,13 +19,10 @@ module Recovery = Usched_faults.Recovery
 module Metrics = Usched_obs.Metrics
 module Core = Usched_core
 module Strategy = Usched_core.Strategy
-module Table = Usched_report.Table
-module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
 
 let m = 8
 let n = 40
-let alpha = 1.5
 
 (* One intra-datacenter, one two-rack, one geo-distributed topology.
    Specs go through [Topology.of_spec] so the experiment exercises the
@@ -61,16 +55,6 @@ let zone_outage topo ~zone ~at =
          else None)
        (List.init m Fun.id))
 
-let generate rng =
-  let instance =
-    Workload.generate
-      (Workload.Uniform { lo = 1.0; hi = 10.0 })
-      ~n ~m
-      ~alpha:(Uncertainty.alpha alpha)
-      rng
-  in
-  (instance, Realization.log_uniform_factor instance rng)
-
 type cell = {
   cost : Summary.t; (* Placement.replication_cost per rep *)
   healthy : Summary.t; (* healthy C_max, staging included *)
@@ -97,154 +81,127 @@ let run config =
      re-replication (target 2, bandwidth 1) healing over the topology's\n\
      links. Transfer cost is Placement.replication_cost: data born on\n\
      machine j mod m, every replica pays its path's latency + size/bw.\n\n"
-    n m alpha reps;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("topology", Table.Left);
-          ("strategy", Table.Left);
-          ("transfer cost", Table.Right);
-          ("healthy C_max", Table.Right);
-          ("tasks done", Table.Right);
-          ("mean degr", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
+    n m Fault_fixture.alpha reps;
   let wins = ref 0 in
   let recovery =
     Recovery.make ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ()
   in
-  List.iter
-    (fun (tname, spec) ->
-      let topo =
-        match Topology.of_spec ~m spec with
-        | Ok t -> t
-        | Error msg -> invalid_arg ("locality: " ^ msg)
-      in
-      let cells =
-        List.map
-          (fun (name, s) -> (name, Runner.strategy config ~m s, cell ()))
-          strategies
-      in
-      let master = Rng.create ~seed:(config.Runner.seed + 7177) () in
-      for _ = 1 to reps do
-        (* One workload per rep, shared by every strategy and zone. *)
-        let rng = Rng.split master in
-        let instance, realization = generate rng in
-        let instance = Instance.with_topology instance (Some topo) in
-        let order = Instance.lpt_order instance in
-        let sizes = Instance.sizes instance in
-        List.iter
-          (fun (_, algo, cell) ->
-            let placement = algo.Core.Two_phase.phase1 instance in
-            let sets = Core.Placement.sets placement in
-            Summary.add cell.cost
-              (Core.Placement.replication_cost placement ~topology:topo ~sizes);
-            let healthy =
-              Schedule.makespan
-                (Engine.run instance realization ~placement:sets ~order)
-            in
-            Summary.add cell.healthy healthy;
-            for zone = 0 to Topology.zones topo - 1 do
-              let faults = zone_outage topo ~zone ~at:(0.3 *. healthy) in
-              let outcome =
-                Engine.run_faulty ~recovery instance realization ~faults
-                  ~placement:sets ~order
-              in
-              Summary.add cell.completion
-                (float_of_int outcome.Engine.completed /. float_of_int n);
-              if outcome.Engine.stranded = [] then
-                Summary.add cell.degradation
-                  (outcome.Engine.makespan /. healthy)
-            done)
-          cells
-      done;
-      List.iter
-        (fun (name, _, cell) ->
-          Table.add_row table
-            [
+  let algos =
+    List.map (fun (name, s) -> (name, Runner.strategy config ~m s)) strategies
+  in
+  let rows =
+    List.concat_map
+      (fun (tname, spec) ->
+        let topo =
+          match Topology.of_spec ~m spec with
+          | Ok t -> t
+          | Error msg -> invalid_arg ("locality: " ^ msg)
+        in
+        let cells = List.map (fun (name, _) -> (tname, name, cell ())) algos in
+        (* One workload per rep, shared by every strategy and zone; per
+           strategy the transfer cost, the healthy makespan, and the
+           outcome of each zone outage. *)
+        Runner.paired config ~seed:(config.Runner.seed + 7177) ~reps
+          (fun rng ->
+            let instance, realization = Fault_fixture.generate ~n ~m rng in
+            let instance = Instance.with_topology instance (Some topo) in
+            let order = Instance.lpt_order instance in
+            let sizes = Instance.sizes instance in
+            List.map
+              (fun (_, algo) ->
+                let placement = algo.Core.Two_phase.phase1 instance in
+                let sets = Core.Placement.sets placement in
+                let healthy =
+                  Schedule.makespan
+                    (Engine.run instance realization ~placement:sets ~order)
+                in
+                ( Core.Placement.replication_cost placement ~topology:topo
+                    ~sizes,
+                  healthy,
+                  List.init (Topology.zones topo) (fun zone ->
+                      let faults = zone_outage topo ~zone ~at:(0.3 *. healthy) in
+                      Engine.run_faulty ~recovery instance realization ~faults
+                        ~placement:sets ~order) ))
+              algos)
+          (List.iter2
+             (fun (_, _, cell) (cost, healthy, outages) ->
+               Summary.add cell.cost cost;
+               Summary.add cell.healthy healthy;
+               List.iter
+                 (fun (outcome : Engine.outcome) ->
+                   Summary.add cell.completion
+                     (float_of_int outcome.Engine.completed /. float_of_int n);
+                   if outcome.Engine.stranded = [] then
+                     Summary.add cell.degradation
+                       (outcome.Engine.makespan /. healthy))
+                 outages)
+             cells);
+        (* The acceptance question, per topology: does some zone-aware
+           placement beat full replication's transfer bill strictly while
+           completing at least as many tasks under every zone outage? *)
+        let mean_of f name =
+          let _, _, c = List.find (fun (_, n, _) -> n = name) cells in
+          Summary.mean (f c)
+        in
+        let full_cost = mean_of (fun c -> c.cost) "full (m copies)" in
+        let full_done = mean_of (fun c -> c.completion) "full (m copies)" in
+        let best =
+          List.fold_left
+            (fun acc (_, name, cell) ->
+              if
+                List.mem name zone_aware
+                && Summary.mean cell.completion >= full_done -. 1e-9
+              then
+                match acc with
+                | Some (_, c) when c <= Summary.mean cell.cost -> acc
+                | _ -> Some (name, Summary.mean cell.cost)
+              else acc)
+            None cells
+        in
+        let gauge suffix =
+          Metrics.gauge config.Runner.metrics
+            (Printf.sprintf "locality.%s.%s" tname suffix)
+        in
+        (match best with
+        | Some (bname, bcost) when bcost < full_cost ->
+            incr wins;
+            Printf.printf
+              "%s: %s wins -- transfer cost %.2f vs full replication's %.2f at\n\
+               equal-or-better completion.\n"
+              tname bname bcost full_cost;
+            Metrics.set (gauge "cost_ratio") (bcost /. full_cost)
+        | _ ->
+            Printf.printf
+              "%s: no strict transfer-cost win over full replication (its\n\
+               transfers are already free here).\n"
               tname;
-              name;
-              Table.cell_float (Summary.mean cell.cost);
-              Table.cell_float (Summary.mean cell.healthy);
-              Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.completion);
-              (if Summary.count cell.degradation = 0 then "-"
-               else Table.cell_float (Summary.mean cell.degradation));
-            ];
-          csv_rows :=
-            [
-              tname;
-              name;
-              Printf.sprintf "%.6f" (Summary.mean cell.cost);
-              Printf.sprintf "%.6f" (Summary.mean cell.healthy);
-              Printf.sprintf "%.6f" (Summary.mean cell.completion);
-              (if Summary.count cell.degradation = 0 then "nan"
-               else Printf.sprintf "%.6f" (Summary.mean cell.degradation));
-            ]
-            :: !csv_rows)
-        cells;
-      (* The acceptance question, per topology: does some zone-aware
-         placement beat full replication's transfer bill strictly while
-         completing at least as many tasks under every zone outage? *)
-      let full =
-        List.find (fun (name, _, _) -> name = "full (m copies)") cells
-      in
-      let _, _, full_cell = full in
-      let full_cost = Summary.mean full_cell.cost in
-      let full_done = Summary.mean full_cell.completion in
-      let best =
-        List.fold_left
-          (fun acc (name, _, cell) ->
-            if
-              List.mem name zone_aware
-              && Summary.mean cell.completion >= full_done -. 1e-9
-            then
-              match acc with
-              | Some (_, c) when c <= Summary.mean cell.cost -> acc
-              | _ -> Some (name, Summary.mean cell.cost)
-            else acc)
-          None cells
-      in
-      let key suffix = Printf.sprintf "locality.%s.%s" tname suffix in
-      (match best with
-      | Some (bname, bcost) when bcost < full_cost ->
-          incr wins;
-          Printf.printf
-            "%s: %s wins -- transfer cost %.2f vs full replication's %.2f at\n\
-             equal-or-better completion.\n"
-            tname bname bcost full_cost;
-          Metrics.set
-            (Metrics.gauge config.Runner.metrics (key "cost_ratio"))
-            (bcost /. full_cost)
-      | _ ->
-          Printf.printf
-            "%s: no strict transfer-cost win over full replication (its\n\
-             transfers are already free here).\n"
-            tname;
-          Metrics.set
-            (Metrics.gauge config.Runner.metrics (key "cost_ratio"))
-            1.0);
-      Metrics.set
-        (Metrics.gauge config.Runner.metrics (key "completion_delta"))
-        ((match best with
-         | Some (bname, _) ->
-             let _, _, c =
-               List.find (fun (name, _, _) -> name = bname) cells
-             in
-             Summary.mean c.completion
-         | None -> full_done)
-        -. full_done))
-    topologies;
-  print_string (Table.render table);
+            Metrics.set (gauge "cost_ratio") 1.0);
+        Metrics.set (gauge "completion_delta")
+          ((match best with
+           | Some (bname, _) -> mean_of (fun c -> c.completion) bname
+           | None -> full_done)
+          -. full_done);
+        cells)
+      topologies
+  in
   Metrics.set
     (Metrics.gauge config.Runner.metrics "locality.wins")
     (float_of_int !wins);
-  Runner.maybe_csv config ~name:"locality"
-    ~header:
-      [ "topology"; "strategy"; "transfer_cost"; "healthy_makespan";
-        "task_completion"; "mean_degradation" ]
-    (List.rev !csv_rows);
+  let mean f (_, _, c) = Summary.mean (f c) in
+  Sheet.emit config ~csv:"locality"
+    [
+      Sheet.text ~csv:"topology" "topology" (fun (t, _, _) -> t);
+      Sheet.text ~csv:"strategy" "strategy" (fun (_, s, _) -> s);
+      Sheet.num ~csv:"transfer_cost" "transfer cost" (mean (fun c -> c.cost));
+      Sheet.num ~csv:"healthy_makespan" "healthy C_max"
+        (mean (fun c -> c.healthy));
+      Sheet.pct ~csv:"task_completion" "tasks done"
+        (mean (fun c -> c.completion));
+      Sheet.num_opt ~csv:"mean_degradation" "mean degr" (fun (_, _, c) ->
+          if Summary.count c.degradation = 0 then None
+          else Some (Summary.mean c.degradation));
+    ]
+    rows;
   Printf.printf
     "\nZone-aware placement strictly cheaper than full replication at\n\
      equal-or-better zone-outage robustness on %d/%d topologies (the\n\

@@ -9,10 +9,8 @@
    work-conserving policy completes the same task set, so the question
    is degradation, not completion. *)
 
-module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Schedule = Usched_desim.Schedule
 module Engine = Usched_desim.Engine
@@ -20,25 +18,11 @@ module Dispatch = Usched_desim.Dispatch
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
 module Core = Usched_core
-module Table = Usched_report.Table
-module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
+module F = Fault_fixture
 
-let m = 6
-let n = 36
-let alpha = 1.5
-
-let ring_placement ~k =
-  Core.Placement.of_sets ~m
-    (Array.init n (fun j ->
-         Bitset.of_list m (List.init k (fun i -> (j + i) mod m))))
-
-let generate spec rng =
-  let instance =
-    Workload.generate spec ~n ~m ~alpha:(Uncertainty.alpha alpha) rng
-  in
-  (instance, Realization.log_uniform_factor instance rng)
-
+let m = F.m
+let n = F.n
 let policies = List.map (fun p -> (Dispatch.name p, p)) Dispatch.builtin
 
 (* ------------- part A: healthy makespan by dispatch rule ------------- *)
@@ -56,75 +40,51 @@ let healthy_sweep config =
       ("identical:5", Workload.Identical 5.0);
     ]
   in
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("workload", Table.Left);
-          ("policy", Table.Left);
-          ("mean ratio", Table.Right);
-          ("worst ratio", Table.Right);
-          ("best ratio", Table.Right);
-          ("vs LB", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
-  List.iter
-    (fun (wname, spec) ->
-      let cells = List.map (fun (name, p) -> (name, p, Summary.create (), Summary.create ())) policies in
-      let master = Rng.create ~seed:(config.Runner.seed + 7177) () in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance, realization = generate spec rng in
-        let order = Instance.lpt_order instance in
-        let placement = Core.Placement.sets (ring_placement ~k:2) in
-        let lb =
-          Core.Lower_bounds.best ~m (Realization.actuals realization)
+  let rows =
+    List.concat_map
+      (fun (wname, spec) ->
+        let cells =
+          List.map
+            (fun (name, _) -> (wname, name, Summary.create (), Summary.create ()))
+            policies
         in
-        let base =
-          Schedule.makespan
-            (Engine.run ~dispatch:Dispatch.default instance realization
-               ~placement ~order)
-        in
-        List.iter
-          (fun (_, dispatch, ratio, vs_lb) ->
-            let mk =
+        Runner.paired config ~seed:(config.Runner.seed + 7177) ~reps
+          (fun rng ->
+            let instance, realization = F.generate ~spec ~n ~m rng in
+            let order = Instance.lpt_order instance in
+            let placement = F.ring ~k:2 in
+            let lb =
+              Core.Lower_bounds.best ~m (Realization.actuals realization)
+            in
+            let makespan dispatch =
               Schedule.makespan
                 (Engine.run ~dispatch instance realization ~placement ~order)
             in
-            Summary.add ratio (mk /. base);
-            Summary.add vs_lb (mk /. lb))
-          cells
-      done;
-      List.iter
-        (fun (name, _, ratio, vs_lb) ->
-          Table.add_row table
-            [
-              wname;
-              name;
-              Table.cell_float (Summary.mean ratio);
-              Table.cell_float (Summary.max ratio);
-              Table.cell_float (Summary.min ratio);
-              Table.cell_float (Summary.mean vs_lb);
-            ];
-          csv_rows :=
-            [
-              wname;
-              name;
-              Printf.sprintf "%.6f" (Summary.mean ratio);
-              Printf.sprintf "%.6f" (Summary.max ratio);
-              Printf.sprintf "%.6f" (Summary.min ratio);
-              Printf.sprintf "%.6f" (Summary.mean vs_lb);
-            ]
-            :: !csv_rows)
+            let base = makespan Dispatch.default in
+            List.map
+              (fun (_, dispatch) ->
+                let mk = makespan dispatch in
+                (mk /. base, mk /. lb))
+              policies)
+          (List.iter2
+             (fun (_, _, ratio, vs_lb) (r, l) ->
+               Summary.add ratio r;
+               Summary.add vs_lb l)
+             cells);
         cells)
-    workloads;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"policy_sweep_healthy"
-    ~header:
-      [ "workload"; "policy"; "mean_ratio"; "worst_ratio"; "best_ratio";
-        "mean_vs_lb" ]
-    (List.rev !csv_rows);
+      workloads
+  in
+  let ratio stat (_, _, r, _) = stat r in
+  Sheet.emit config ~csv:"policy_sweep_healthy"
+    [
+      Sheet.text ~csv:"workload" "workload" (fun (w, _, _, _) -> w);
+      Sheet.text ~csv:"policy" "policy" (fun (_, p, _, _) -> p);
+      Sheet.num ~csv:"mean_ratio" "mean ratio" (ratio Summary.mean);
+      Sheet.num ~csv:"worst_ratio" "worst ratio" (ratio Summary.max);
+      Sheet.num ~csv:"best_ratio" "best ratio" (ratio Summary.min);
+      Sheet.num ~csv:"mean_vs_lb" "vs LB" (fun (_, _, _, l) -> Summary.mean l);
+    ]
+    rows;
   Printf.printf
     "\nOn the uniform workload estimates are almost surely distinct, so\n\
      random tie-breaking coincides with list-priority; on the identical\n\
@@ -140,83 +100,38 @@ let faulty_sweep config =
      in the healthy makespan), online re-replication back up to 2 live\n\
      replicas. Paired traces across policies.\n\n"
     crash_rate;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("policy", Table.Left);
-          ("stranded runs", Table.Right);
-          ("tasks done", Table.Right);
-          ("mean degr", Table.Right);
-          ("wasted", Table.Right);
-        ]
-  in
   let recovery = Recovery.make ~rereplication_target:(Recovery.Fixed 2) () in
-  let cells =
-    List.map
-      (fun (name, p) ->
-        (name, p, ref 0, Summary.create (), Summary.create (), Summary.create ()))
-      policies
-  in
-  let runs = ref 0 in
-  let master = Rng.create ~seed:(config.Runner.seed + 7178) () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let instance, realization =
-      generate (Workload.Uniform { lo = 1.0; hi = 10.0 }) rng
-    in
-    let order = Instance.lpt_order instance in
-    let total_work = Realization.total realization in
-    let placement = Core.Placement.sets (ring_placement ~k:2) in
-    let healthy =
-      Schedule.makespan (Engine.run instance realization ~placement ~order)
-    in
-    let faults = Trace.random_crashes rng ~m ~p:crash_rate ~horizon:healthy in
-    incr runs;
-    List.iter
-      (fun (_, dispatch, stranded_runs, completion, degradation, wasted) ->
-        let outcome =
-          Engine.run_faulty ~dispatch ~recovery instance realization ~faults
-            ~placement ~order
-        in
-        if outcome.Engine.stranded <> [] then incr stranded_runs;
-        Summary.add completion
-          (float_of_int outcome.Engine.completed /. float_of_int n);
-        Summary.add wasted (outcome.Engine.wasted /. total_work);
-        if outcome.Engine.stranded = [] then
-          Summary.add degradation (outcome.Engine.makespan /. healthy))
-      cells
-  done;
-  let csv_rows = ref [] in
-  List.iter
-    (fun (name, _, stranded_runs, completion, degradation, wasted) ->
-      Table.add_row table
-        [
-          name;
-          Printf.sprintf "%d/%d" !stranded_runs !runs;
-          Printf.sprintf "%.1f%%" (100.0 *. Summary.mean completion);
-          (if Summary.count degradation = 0 then "-"
-           else Table.cell_float (Summary.mean degradation));
-          Printf.sprintf "%.1f%%" (100.0 *. Summary.mean wasted);
-        ];
-      csv_rows :=
-        [
-          name;
-          Printf.sprintf "%d" !stranded_runs;
-          Printf.sprintf "%d" !runs;
-          Printf.sprintf "%.6f" (Summary.mean completion);
-          (if Summary.count degradation = 0 then "nan"
-           else Printf.sprintf "%.6f" (Summary.mean degradation));
-          Printf.sprintf "%.6f" (Summary.mean wasted);
-        ]
-        :: !csv_rows)
+  let cells = List.map (fun (name, _) -> (name, F.cell ())) policies in
+  Runner.paired config ~seed:(config.Runner.seed + 7178) ~reps
+    (fun rng ->
+      let instance, realization = F.generate ~n ~m rng in
+      let order = Instance.lpt_order instance in
+      let placement = F.ring ~k:2 in
+      let healthy =
+        Schedule.makespan (Engine.run instance realization ~placement ~order)
+      in
+      let faults = Trace.random_crashes rng ~m ~p:crash_rate ~horizon:healthy in
+      ( healthy,
+        Realization.total realization,
+        List.map
+          (fun (_, dispatch) ->
+            Engine.run_faulty ~dispatch ~recovery instance realization ~faults
+              ~placement ~order)
+          policies ))
+    (fun (healthy, total_work, outcomes) ->
+      List.iter2
+        (fun (_, cell) outcome -> F.record cell ~healthy ~total_work outcome)
+        cells outcomes);
+  let cell_of = snd in
+  Sheet.emit config ~csv:"policy_sweep_faulty"
+    [
+      Sheet.text ~csv:"policy" "policy" fst;
+      F.stranded_runs cell_of;
+      F.tasks_done cell_of;
+      F.mean_degr cell_of;
+      F.wasted cell_of;
+    ]
     cells;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"policy_sweep_faulty"
-    ~header:
-      [ "policy"; "stranded_runs"; "runs"; "task_completion";
-        "mean_degradation"; "wasted_fraction" ]
-    (List.rev !csv_rows);
   Printf.printf
     "\nStranding is dominated by the data (which replicas survive the\n\
      trace), not the dispatch rule: under full replication every\n\

@@ -7,86 +7,46 @@
    pointwise (every machine runs its own queue, so banked progress can
    only help). *)
 
-module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Schedule = Usched_desim.Schedule
 module Engine = Usched_desim.Engine
 module Trace = Usched_faults.Trace
 module Recovery = Usched_faults.Recovery
 module Metrics = Usched_obs.Metrics
-module Core = Usched_core
-module Table = Usched_report.Table
-module Rng = Usched_prng.Rng
-module Summary = Usched_stats.Summary
+module F = Fault_fixture
 
-let m = 6
-let n = 36
-let alpha = 1.5
+let m = F.m
+let n = F.n
 let crash_rate = 0.4
 
-(* Same nested-ring construction as fault_sweep: task [j] lives on
-   machines [j mod m .. (j+k-1) mod m]. *)
-let ring_placement ~k =
-  Core.Placement.of_sets ~m
-    (Array.init n (fun j ->
-         Bitset.of_list m (List.init k (fun i -> (j + i) mod m))))
+(* One paired repetition: a workload and a fault trace drawn by
+   [faults], replayed under every policy of [cells] on the ring with [k]
+   replicas. *)
+let replay config ~seed ~reps ~k ~faults cells =
+  Runner.paired config ~seed ~reps
+    (fun rng ->
+      let instance, realization = F.generate ~n ~m rng in
+      let order = Instance.lpt_order instance in
+      let placement = F.ring ~k in
+      let healthy =
+        Schedule.makespan (Engine.run instance realization ~placement ~order)
+      in
+      let faults = faults rng ~healthy in
+      ( healthy,
+        Realization.total realization,
+        List.map
+          (fun (_, recovery, _) ->
+            Engine.run_faulty ~recovery ~metrics:(Metrics.create ()) instance
+              realization ~faults ~placement ~order)
+          cells ))
+    (fun (healthy, total_work, outcomes) ->
+      List.iter2
+        (fun (_, _, cell) outcome -> F.record cell ~healthy ~total_work outcome)
+        cells outcomes)
 
-let generate rng =
-  let instance =
-    Workload.generate
-      (Workload.Uniform { lo = 1.0; hi = 10.0 })
-      ~n ~m
-      ~alpha:(Uncertainty.alpha alpha)
-      rng
-  in
-  (instance, Realization.log_uniform_factor instance rng)
-
-let counter_of snapshot name =
-  match Metrics.find snapshot name with
-  | Some (Metrics.Counter c) -> c
-  | _ -> 0
-
-type cell = {
-  runs : int ref;
-  stranded_runs : int ref; (* runs that lost at least one task *)
-  stranded_tasks : Summary.t; (* stranded count per run *)
-  task_completion : Summary.t;
-  degradation : Summary.t; (* faulty/healthy makespan, full runs only *)
-  wasted : Summary.t; (* wasted work / total actual work *)
-  rereplications : Summary.t; (* healer transfers completed per run *)
-  resumes : Summary.t; (* checkpoint resumes per run *)
-}
-
-let cell () =
-  {
-    runs = ref 0;
-    stranded_runs = ref 0;
-    stranded_tasks = Summary.create ();
-    task_completion = Summary.create ();
-    degradation = Summary.create ();
-    wasted = Summary.create ();
-    rereplications = Summary.create ();
-    resumes = Summary.create ();
-  }
-
-let record cell ~healthy ~total_work (outcome : Engine.outcome) =
-  incr cell.runs;
-  let stranded = List.length outcome.Engine.stranded in
-  if stranded > 0 then incr cell.stranded_runs;
-  Summary.add cell.stranded_tasks (float_of_int stranded);
-  Summary.add cell.task_completion
-    (float_of_int outcome.Engine.completed /. float_of_int n);
-  Summary.add cell.wasted (outcome.Engine.wasted /. total_work);
-  Summary.add cell.rereplications
-    (float_of_int (counter_of outcome.Engine.metrics "engine.rereplications"));
-  Summary.add cell.resumes
-    (float_of_int
-       (counter_of outcome.Engine.metrics "engine.checkpoint_resumes"));
-  if outcome.Engine.stranded = [] then
-    Summary.add cell.degradation (outcome.Engine.makespan /. healthy)
+let policy_col = Sheet.text ~csv:"policy" "policy" (fun (name, _, _) -> name)
+let cell_of (_, _, c) = c
 
 (* ----------------- part A: healing vs crashes ----------------------- *)
 
@@ -111,86 +71,31 @@ let healing_sweep config =
      healer copies data at the given bandwidth back up to 2 live\n\
      replicas, after the given detection latency.\n\n"
     n m crash_rate;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("policy", Table.Left);
-          ("stranded runs", Table.Right);
-          ("mean lost", Table.Right);
-          ("tasks done", Table.Right);
-          ("mean degr", Table.Right);
-          ("wasted", Table.Right);
-          ("transfers", Table.Right);
-        ]
-  in
-  let cells = List.map (fun (name, p) -> (name, p, cell ())) policies in
-  let master = Rng.create ~seed:(config.Runner.seed + 4241) () in
-  for _ = 1 to reps do
-    (* One workload + trace per repetition, shared by every policy. *)
-    let rng = Rng.split master in
-    let instance, realization = generate rng in
-    let order = Instance.lpt_order instance in
-    let total_work = Realization.total realization in
-    let placement = Core.Placement.sets (ring_placement ~k:2) in
-    let healthy =
-      Schedule.makespan (Engine.run instance realization ~placement ~order)
-    in
-    let faults = Trace.random_crashes rng ~m ~p:crash_rate ~horizon:healthy in
-    List.iter
-      (fun (_, recovery, cell) ->
-        let metrics = Metrics.create () in
-        let outcome =
-          Engine.run_faulty ~recovery ~metrics instance realization ~faults
-            ~placement ~order
-        in
-        record cell ~healthy ~total_work outcome)
-      cells
-  done;
-  let csv_rows = ref [] in
-  List.iter
-    (fun (name, _, cell) ->
-      Table.add_row table
-        [
-          name;
-          Printf.sprintf "%d/%d" !(cell.stranded_runs) !(cell.runs);
-          Table.cell_float (Summary.mean cell.stranded_tasks);
-          Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.task_completion);
-          (if Summary.count cell.degradation = 0 then "-"
-           else Table.cell_float (Summary.mean cell.degradation));
-          Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.wasted);
-          Table.cell_float (Summary.mean cell.rereplications);
-        ];
-      csv_rows :=
-        [
-          name;
-          Printf.sprintf "%d" !(cell.stranded_runs);
-          Printf.sprintf "%d" !(cell.runs);
-          Printf.sprintf "%.6f" (Summary.mean cell.stranded_tasks);
-          Printf.sprintf "%.6f" (Summary.mean cell.task_completion);
-          (if Summary.count cell.degradation = 0 then "nan"
-           else Printf.sprintf "%.6f" (Summary.mean cell.degradation));
-          Printf.sprintf "%.6f" (Summary.mean cell.wasted);
-          Printf.sprintf "%.6f" (Summary.mean cell.rereplications);
-        ]
-        :: !csv_rows)
+  let cells = List.map (fun (name, p) -> (name, p, F.cell ())) policies in
+  (* One workload + trace per repetition, shared by every policy. *)
+  replay config ~seed:(config.Runner.seed + 4241) ~reps ~k:2 cells
+    ~faults:(fun rng ~healthy ->
+      Trace.random_crashes rng ~m ~p:crash_rate ~horizon:healthy);
+  Sheet.emit config ~csv:"recovery_sweep_healing"
+    [
+      policy_col;
+      F.stranded_runs cell_of;
+      F.mean_lost cell_of;
+      F.tasks_done cell_of;
+      F.mean_degr cell_of;
+      F.wasted cell_of;
+      F.transfers cell_of;
+    ]
     cells;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"recovery_sweep_healing"
-    ~header:
-      [ "policy"; "stranded_runs"; "runs"; "mean_stranded"; "task_completion";
-        "mean_degradation"; "wasted_fraction"; "rereplications" ]
-    (List.rev !csv_rows);
   (* The acceptance check of this experiment: healing strictly reduces
      the probability of losing a task on the paired traces. *)
   (match cells with
   | (_, _, passive) :: (best_name, _, best) :: _ ->
+      let stranded c = F.stranded_runs_of c and runs c = F.runs_of c in
       Printf.printf
         "\nStranded-run probability: passive %d/%d -> %s %d/%d (%s).\n"
-        !(passive.stranded_runs) !(passive.runs) best_name
-        !(best.stranded_runs) !(best.runs)
-        (if !(best.stranded_runs) < !(passive.stranded_runs) then
-           "strict improvement"
+        (stranded passive) (runs passive) best_name (stranded best) (runs best)
+        (if stranded best < stranded passive then "strict improvement"
          else "no improvement at these parameters")
   | _ -> ());
   Printf.printf
@@ -210,75 +115,26 @@ let checkpoint_sweep config =
      %.1f work units when the machine rejoins; the passive engine\n\
      restarts from zero.\n\n"
     interval;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("policy", Table.Left);
-          ("mean degr", Table.Right);
-          ("worst degr", Table.Right);
-          ("wasted", Table.Right);
-          ("resumes", Table.Right);
-        ]
-  in
-  let policies =
+  let cells =
     [
-      ("restart (none)", Recovery.none);
+      ("restart (none)", Recovery.none, F.cell ());
       ( Printf.sprintf "checkpoint c=%.1f" interval,
-        Recovery.make ~checkpoint_interval:interval () );
+        Recovery.make ~checkpoint_interval:interval (),
+        F.cell () );
     ]
   in
-  let cells = List.map (fun (name, p) -> (name, p, cell ())) policies in
-  let master = Rng.create ~seed:(config.Runner.seed + 9631) () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let instance, realization = generate rng in
-    let order = Instance.lpt_order instance in
-    let total_work = Realization.total realization in
-    let placement = Core.Placement.sets (ring_placement ~k:1) in
-    let healthy =
-      Schedule.makespan (Engine.run instance realization ~placement ~order)
-    in
-    let faults =
-      Trace.random_outages rng ~m ~p:0.5 ~horizon:healthy ~duration:(5.0, 10.0)
-    in
-    List.iter
-      (fun (_, recovery, cell) ->
-        let metrics = Metrics.create () in
-        let outcome =
-          Engine.run_faulty ~recovery ~metrics instance realization ~faults
-            ~placement ~order
-        in
-        record cell ~healthy ~total_work outcome)
-      cells
-  done;
-  let csv_rows = ref [] in
-  List.iter
-    (fun (name, _, cell) ->
-      Table.add_row table
-        [
-          name;
-          Table.cell_float (Summary.mean cell.degradation);
-          Table.cell_float (Summary.max cell.degradation);
-          Printf.sprintf "%.1f%%" (100.0 *. Summary.mean cell.wasted);
-          Table.cell_float (Summary.mean cell.resumes);
-        ];
-      csv_rows :=
-        [
-          name;
-          Printf.sprintf "%.6f" (Summary.mean cell.degradation);
-          Printf.sprintf "%.6f" (Summary.max cell.degradation);
-          Printf.sprintf "%.6f" (Summary.mean cell.wasted);
-          Printf.sprintf "%.6f" (Summary.mean cell.resumes);
-        ]
-        :: !csv_rows)
+  replay config ~seed:(config.Runner.seed + 9631) ~reps ~k:1 cells
+    ~faults:(fun rng ~healthy ->
+      Trace.random_outages rng ~m ~p:0.5 ~horizon:healthy ~duration:(5.0, 10.0));
+  Sheet.emit config ~csv:"recovery_sweep_checkpoint"
+    [
+      policy_col;
+      F.mean_degr cell_of;
+      F.worst_degr ~csv:"worst_degradation" cell_of;
+      F.wasted cell_of;
+      F.resumes cell_of;
+    ]
     cells;
-  print_string (Table.render table);
-  Runner.maybe_csv config ~name:"recovery_sweep_checkpoint"
-    ~header:
-      [ "policy"; "mean_degradation"; "worst_degradation"; "wasted_fraction";
-        "checkpoint_resumes" ]
-    (List.rev !csv_rows);
   Printf.printf
     "\nWith singleton placements an outage stalls the only holder, so the\n\
      passive engine re-runs every killed unit of work; checkpointing\n\

@@ -1,8 +1,6 @@
 module Bitset = Usched_model.Bitset
 module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Failure = Usched_model.Failure
 module Schedule = Usched_desim.Schedule
 module Trace = Usched_faults.Trace
@@ -16,7 +14,6 @@ module Metrics = Usched_obs.Metrics
 
 let m = 8
 let n = 40
-let alpha = 1.5
 let crash_draws_per_rep = 40
 
 type survival = { point : float; lo : float; hi : float; trials : int }
@@ -84,24 +81,16 @@ let strategy_specs =
 let is_reliability = function Strategy.Reliability _ -> true | _ -> false
 
 type row = {
+  pname : string;
+  name : string;
   spec : Strategy.t;
-  algo : Core.Two_phase.t;
   ratio : Summary.t;
   mem : Summary.t;
   bound : Summary.t;
   indicators : float list ref;
   infeasible : int ref;
+  mutable survival : Bootstrap.interval option; (* None when never feasible *)
 }
-
-let generate rng =
-  let instance =
-    Workload.generate
-      (Workload.Uniform { lo = 1.0; hi = 10.0 })
-      ~n ~m
-      ~alpha:(Uncertainty.alpha alpha)
-      rng
-  in
-  (instance, Realization.log_uniform_factor instance rng)
 
 let run config =
   Runner.print_section
@@ -114,127 +103,100 @@ let run config =
      differences. 'survival' is the Monte-Carlo P(no stranded task) with a\n\
      95%% bootstrap CI over %d draws; 'bound' the analytic union bound the\n\
      reliability solver holds at >= its target.\n\n"
-    n m alpha crash_draws_per_rep (reps * crash_draws_per_rep);
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("profile", Table.Left);
-          ("strategy", Table.Left);
-          ("mean ratio", Table.Right);
-          ("mem max", Table.Right);
-          ("survival", Table.Right);
-          ("95% CI", Table.Right);
-          ("bound", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
+    n m Fault_fixture.alpha crash_draws_per_rep (reps * crash_draws_per_rep);
   let min_survival = ref infinity and min_bound = ref infinity in
-  List.iteri
-    (fun pidx (pname, make_profile) ->
-      let profile = make_profile (Rng.create ~seed:(config.Runner.seed + (613 * pidx)) ()) in
-      let rows =
-        List.map
-          (fun (name, spec) ->
-            ( name,
-              {
-                spec;
-                algo = Runner.strategy config ~m spec;
-                ratio = Summary.create ();
-                mem = Summary.create ();
-                bound = Summary.create ();
-                indicators = ref [];
-                infeasible = ref 0;
-              } ))
-          strategy_specs
-      in
-      let master = Rng.create ~seed:(config.Runner.seed + (7919 * pidx)) () in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance, realization = generate rng in
-        let instance = Instance.with_failure instance (Some profile) in
-        let lb =
-          Core.Lower_bounds.best ~m (Realization.actuals realization)
-        in
-        let crash_sets =
-          Array.init crash_draws_per_rep (fun _ -> Rng.split rng)
-          |> Array.map (fun r ->
-                 crashed_set ~m
-                   (Trace.profile_crashes r ~profile ~horizon:1.0))
-        in
-        List.iter
-          (fun (_, row) ->
-            match row.algo.Core.Two_phase.phase1 instance with
-            | exception Core.Reliability.Infeasible _ -> incr row.infeasible
-            | placement ->
-                let makespan =
-                  Schedule.makespan
-                    (row.algo.Core.Two_phase.phase2 instance placement
-                       realization)
-                in
-                Summary.add row.ratio (makespan /. lb);
-                Summary.add row.mem
-                  (Core.Placement.memory_max placement
-                     ~sizes:(Instance.sizes instance));
-                Summary.add row.bound
-                  (Core.Reliability.survival_bound instance placement);
-                let sets = Core.Placement.sets placement in
-                Array.iter
-                  (fun crashed ->
-                    row.indicators :=
-                      (if survives sets crashed then 1.0 else 0.0)
-                      :: !(row.indicators))
-                  crash_sets)
-          rows
-      done;
-      List.iter
-        (fun (name, row) ->
-          if !(row.infeasible) = reps then begin
-            Table.add_row table
-              [ pname; name; "-"; "-"; "infeasible"; "-"; "-" ];
-            csv_rows :=
-              [ pname; Strategy.to_string row.spec; "nan"; "nan"; "nan";
-                "nan"; "nan"; "nan"; string_of_int !(row.infeasible) ]
-              :: !csv_rows
-          end
-          else begin
-            let data = Array.of_list !(row.indicators) in
-            let iv =
-              Bootstrap.mean_interval
-                ~rng:(Rng.create ~seed:(config.Runner.seed + 104729) ())
-                data
-            in
-            if is_reliability row.spec then begin
-              min_survival := Float.min !min_survival iv.Bootstrap.point;
-              min_bound := Float.min !min_bound (Summary.min row.bound)
-            end;
-            Table.add_row table
-              [
-                pname;
-                name;
-                Table.cell_float (Summary.mean row.ratio);
-                Table.cell_float (Summary.mean row.mem);
-                Printf.sprintf "%.4f" iv.Bootstrap.point;
-                Printf.sprintf "[%.4f, %.4f]" iv.Bootstrap.lo iv.Bootstrap.hi;
-                Printf.sprintf "%.4f" (Summary.min row.bound);
-              ];
-            csv_rows :=
-              [
-                pname;
-                Strategy.to_string row.spec;
-                Printf.sprintf "%.6f" (Summary.mean row.ratio);
-                Printf.sprintf "%.6f" (Summary.mean row.mem);
-                Printf.sprintf "%.6f" iv.Bootstrap.point;
-                Printf.sprintf "%.6f" iv.Bootstrap.lo;
-                Printf.sprintf "%.6f" iv.Bootstrap.hi;
-                Printf.sprintf "%.6f" (Summary.min row.bound);
-                string_of_int !(row.infeasible);
-              ]
-              :: !csv_rows
-          end)
-        rows)
-    profiles;
-  print_string (Table.render table);
+  let algos =
+    List.map (fun (_, spec) -> Runner.strategy config ~m spec) strategy_specs
+  in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun pidx (pname, make_profile) ->
+           let profile =
+             make_profile
+               (Rng.create ~seed:(config.Runner.seed + (613 * pidx)) ())
+           in
+           let rows =
+             List.map
+               (fun (name, spec) ->
+                 {
+                   pname;
+                   name;
+                   spec;
+                   ratio = Summary.create ();
+                   mem = Summary.create ();
+                   bound = Summary.create ();
+                   indicators = ref [];
+                   infeasible = ref 0;
+                   survival = None;
+                 })
+               strategy_specs
+           in
+           Runner.paired config ~seed:(config.Runner.seed + (7919 * pidx)) ~reps
+             (fun rng ->
+               let instance, realization = Fault_fixture.generate ~n ~m rng in
+               let instance = Instance.with_failure instance (Some profile) in
+               let lb =
+                 Core.Lower_bounds.best ~m (Realization.actuals realization)
+               in
+               let crash_sets =
+                 Array.init crash_draws_per_rep (fun _ -> Rng.split rng)
+                 |> Array.map (fun r ->
+                        crashed_set ~m
+                          (Trace.profile_crashes r ~profile ~horizon:1.0))
+               in
+               (* Per strategy: None when phase 1 is infeasible, else the
+                  ratio, memory, survival bound and survival indicators. *)
+               List.map
+                 (fun algo ->
+                   match algo.Core.Two_phase.phase1 instance with
+                   | exception Core.Reliability.Infeasible _ -> None
+                   | placement ->
+                       let makespan =
+                         Schedule.makespan
+                           (algo.Core.Two_phase.phase2 instance placement
+                              realization)
+                       in
+                       let sets = Core.Placement.sets placement in
+                       Some
+                         ( makespan /. lb,
+                           Core.Placement.memory_max placement
+                             ~sizes:(Instance.sizes instance),
+                           Core.Reliability.survival_bound instance placement,
+                           Array.map
+                             (fun crashed ->
+                               if survives sets crashed then 1.0 else 0.0)
+                             crash_sets ))
+                 algos)
+             (List.iter2
+                (fun row -> function
+                  | None -> incr row.infeasible
+                  | Some (ratio, mem, bound, indicators) ->
+                      Summary.add row.ratio ratio;
+                      Summary.add row.mem mem;
+                      Summary.add row.bound bound;
+                      Array.iter
+                        (fun x -> row.indicators := x :: !(row.indicators))
+                        indicators)
+                rows);
+           List.iter
+             (fun row ->
+               if !(row.infeasible) < reps then begin
+                 let iv =
+                   Bootstrap.mean_interval
+                     ~rng:(Rng.create ~seed:(config.Runner.seed + 104729) ())
+                     (Array.of_list !(row.indicators))
+                 in
+                 if is_reliability row.spec then begin
+                   min_survival := Float.min !min_survival iv.Bootstrap.point;
+                   min_bound := Float.min !min_bound (Summary.min row.bound)
+                 end;
+                 row.survival <- Some iv
+               end)
+             rows;
+           rows)
+         profiles)
+  in
   if Float.is_finite !min_survival then begin
     Metrics.set
       (Metrics.gauge config.Runner.metrics "reliability.survival_min")
@@ -243,11 +205,37 @@ let run config =
       (Metrics.gauge config.Runner.metrics "reliability.bound_min")
       !min_bound
   end;
-  Runner.maybe_csv config ~name:"reliability_tradeoff"
-    ~header:
-      [ "profile"; "strategy"; "mean_ratio"; "mem_max"; "survival";
-        "survival_lo"; "survival_hi"; "bound_min"; "infeasible_reps" ]
-    (List.rev !csv_rows);
+  (* A never-feasible row shows "-" in the table ("infeasible" under
+     survival) and nan in every CSV field but the count. *)
+  let if_feasible none f r =
+    match r.survival with None -> none | Some iv -> f r iv
+  in
+  let shown none fmt f = if_feasible none (fun r iv -> fmt (f r iv)) in
+  let raw f = if_feasible "nan" (fun r iv -> Printf.sprintf "%.6f" (f r iv)) in
+  let ratio r _ = Summary.mean r.ratio and mem r _ = Summary.mean r.mem in
+  let bound r _ = Summary.min r.bound and point _ iv = iv.Bootstrap.point in
+  let lo _ iv = iv.Bootstrap.lo and hi _ iv = iv.Bootstrap.hi in
+  Sheet.emit config ~csv:"reliability_tradeoff"
+    [
+      Sheet.text ~csv:"profile" "profile" (fun r -> r.pname);
+      Sheet.column ~align:Table.Left "strategy" (fun r -> r.name)
+        ~csv:[ ("strategy", fun r -> Strategy.to_string r.spec) ];
+      Sheet.column "mean ratio" (shown "-" Table.cell_float ratio)
+        ~csv:[ ("mean_ratio", raw ratio) ];
+      Sheet.column "mem max" (shown "-" Table.cell_float mem)
+        ~csv:[ ("mem_max", raw mem) ];
+      Sheet.column "survival"
+        (shown "infeasible" (Printf.sprintf "%.4f") point)
+        ~csv:[ ("survival", raw point) ];
+      Sheet.column "95% CI"
+        (shown "-" Fun.id (fun r iv ->
+             Printf.sprintf "[%.4f, %.4f]" (lo r iv) (hi r iv)))
+        ~csv:[ ("survival_lo", raw lo); ("survival_hi", raw hi) ];
+      Sheet.column "bound" (shown "-" (Printf.sprintf "%.4f") bound)
+        ~csv:[ ("bound_min", raw bound) ];
+      Sheet.csv_only "infeasible_reps" (fun r -> string_of_int !(r.infeasible));
+    ]
+    rows;
   Printf.printf
     "\nFixed-degree strategies pay the same memory on every profile and\n\
      let survival float; the reliability family holds survival above its\n\

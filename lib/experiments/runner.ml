@@ -2,7 +2,6 @@ module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
 module Workload = Usched_model.Workload
 module Uncertainty = Usched_model.Uncertainty
-module Schedule = Usched_desim.Schedule
 module Core = Usched_core
 module Rng = Usched_prng.Rng
 module Summary = Usched_stats.Summary
@@ -108,33 +107,32 @@ type sweep_result = {
   exact_opt : bool;
 }
 
+let paired config ~seed ~reps run fold =
+  (* One stream per repetition, split off the master up front, so a
+     repetition's draws do not depend on the parallel execution order. *)
+  let master = Rng.create ~seed () in
+  let streams = Array.init reps (fun _ -> Rng.split master) in
+  Array.iter fold (Pool.parallel_map ~domains:config.domains run streams)
+
 let random_sweep config ~algo ~spec ~realize ~n ~m ~alpha =
   (* The timer wraps the whole sweep from the main domain; workers are
      left uninstrumented (metrics registries are single-domain). *)
   Metrics.time (Metrics.timer config.metrics "phase.sweep") @@ fun () ->
   let alpha_v = Uncertainty.alpha alpha in
-  (* Derive one independent stream per repetition up front so results do
-     not depend on the parallel execution order. *)
-  let master = Rng.create ~seed:config.seed () in
-  let streams = Array.init config.reps (fun _ -> Rng.split master) in
-  let run rep =
-    let rng = streams.(rep) in
-    let instance = Workload.generate spec ~n ~m ~alpha:alpha_v rng in
-    let realization = realize instance rng in
-    let makespan = Core.Two_phase.makespan algo instance realization in
-    let opt, exact =
-      opt_estimate config ~m (Realization.actuals realization)
-    in
-    (makespan /. opt, exact)
-  in
-  let results = Pool.parallel_init ~domains:config.domains config.reps run in
-  let summary = Summary.create () in
-  Array.iter (fun (r, _) -> Summary.add summary r) results;
-  {
-    summary;
-    worst = Summary.max summary;
-    exact_opt = Array.for_all snd results;
-  }
+  let summary = Summary.create () and exact_opt = ref true in
+  paired config ~seed:config.seed ~reps:config.reps
+    (fun rng ->
+      let instance = Workload.generate spec ~n ~m ~alpha:alpha_v rng in
+      let realization = realize instance rng in
+      let makespan = Core.Two_phase.makespan algo instance realization in
+      let opt, exact =
+        opt_estimate config ~m (Realization.actuals realization)
+      in
+      (makespan /. opt, exact))
+    (fun (r, exact) ->
+      Summary.add summary r;
+      exact_opt := !exact_opt && exact);
+  { summary; worst = Summary.max summary; exact_opt = !exact_opt }
 
 let adversarial_ratio config algo instance =
   Metrics.time (Metrics.timer config.metrics "phase.adversary") @@ fun () ->

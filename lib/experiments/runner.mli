@@ -74,6 +74,21 @@ val ratio :
   config -> Core.Two_phase.t -> Instance.t -> Realization.t -> float
 (** [C_max / opt_estimate] for one run. *)
 
+val paired :
+  config -> seed:int -> reps:int -> (Usched_prng.Rng.t -> 'a) -> ('a -> unit) -> unit
+(** [paired config ~seed ~reps run fold]: the paired-replication loop
+    every randomized experiment runs on. Splits [reps] streams off one
+    master generator seeded with [seed], maps [run] over them on
+    [config.domains] domains, then calls [fold] on each result in
+    repetition order on the calling domain. Repetition [r] sees the
+    [r]-th split at any domain count, so output does not depend on
+    [--domains].
+
+    [run] executes on worker domains and must touch no shared state:
+    not [config.metrics], not {!strategy} (build algorithms before the
+    loop), no printing. Recording into summaries, tables and gauges
+    belongs in [fold]. *)
+
 type sweep_result = {
   summary : Usched_stats.Summary.t;  (** Distribution of measured ratios. *)
   worst : float;  (** Largest ratio seen. *)
@@ -89,8 +104,8 @@ val random_sweep :
   m:int ->
   alpha:float ->
   sweep_result
-(** [reps] independent (instance, realization) draws, ratios summarized.
-    Runs on [config.domains] domains. *)
+(** [reps] independent (instance, realization) draws on {!paired},
+    seeded with [config.seed], ratios summarized. *)
 
 val adversarial_ratio :
   config -> Core.Two_phase.t -> Instance.t -> float

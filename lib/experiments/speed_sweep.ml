@@ -34,6 +34,9 @@ let strategy_specs =
     ]
 
 type row = {
+  cname : string;
+  name : string;
+  spec : Strategy.t;
   adv : Summary.t;
   mc : Summary.t;
   reveal : Summary.t;
@@ -60,125 +63,105 @@ let run config =
     (Speed_band.lo band 0)
     (Speed_band.hi band 0)
     n alpha mc_draws_per_rep;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("class", Table.Left);
-          ("strategy", Table.Left);
-          ("adv ratio", Table.Right);
-          ("adv worst", Table.Right);
-          ("MC mean", Table.Right);
-          ("reveal@t", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
   let hedge_wins = ref 0 in
-  List.iteri
-    (fun cidx (cname, workload) ->
-      let rows =
-        List.map
-          (fun (name, spec) ->
-            ( name,
-              spec,
-              Runner.strategy config ~m spec,
-              { adv = Summary.create (); mc = Summary.create ();
-                reveal = Summary.create () } ))
-          strategy_specs
-      in
-      let master = Rng.create ~seed:(config.Runner.seed + (7127 * cidx)) () in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance =
-          Workload.generate workload ~n ~m ~alpha:(Uncertainty.alpha alpha) rng
-        in
-        let instance = Instance.with_speed_band instance (Some band) in
-        let realization = Realization.exact instance in
-        let actuals = Realization.actuals realization in
-        let lb_at speeds = Core.Uniform.lower_bound ~speeds actuals in
-        let draws =
-          Array.init mc_draws_per_rep (fun _ ->
-              Speed_band.sample band (Rng.split rng))
-        in
-        List.iter
-          (fun (_, _, algo, row) ->
-            let placement = algo.Core.Two_phase.phase1 instance in
-            let sets = Core.Placement.sets placement in
-            let order = Instance.lpt_order instance in
-            let makespan speeds =
-              Schedule.makespan
-                (Engine.run ~speeds instance realization ~placement:sets ~order)
-            in
-            let run_ratio speeds = makespan speeds /. lb_at speeds in
-            let adv_speeds, adv_ratio =
-              Core.Speed_adversary.worst_case ~run:run_ratio
-                ~candidates:(Array.to_list draws) instance placement band
-            in
-            Summary.add row.adv adv_ratio;
-            Array.iter (fun d -> Summary.add row.mc (run_ratio d)) draws;
-            (* Mid-run revelation: start every machine at its optimistic
-               speed, then at [at] the fault layer slows each to the
-               adversary's pick (factor = target / current). *)
-            let his = Speed_band.his band in
-            let at = 0.5 *. lb_at his in
-            let factors = Array.mapi (fun i s -> s /. his.(i)) adv_speeds in
-            let outcome =
-              Engine.run_faulty ~speeds:his instance realization
-                ~faults:(Trace.revelation ~m ~at factors)
-                ~placement:sets ~order
-            in
-            Summary.add row.reveal
-              (outcome.Engine.makespan /. lb_at adv_speeds))
-          rows
-      done;
-      let mean_of (_, _, _, row) = Summary.mean row.adv in
-      let no_rep = mean_of (List.hd rows) in
-      let best_replicated =
-        List.fold_left
-          (fun acc r -> Float.min acc (mean_of r))
-          infinity (List.tl rows)
-      in
-      if best_replicated < no_rep then incr hedge_wins;
-      Metrics.set
-        (Metrics.gauge config.Runner.metrics
-           (Printf.sprintf "speed_robust.%s.no_replication" cname))
-        no_rep;
-      Metrics.set
-        (Metrics.gauge config.Runner.metrics
-           (Printf.sprintf "speed_robust.%s.best_replicated" cname))
-        best_replicated;
-      List.iter
-        (fun (name, spec, _, row) ->
-          Table.add_row table
-            [
-              cname;
-              name;
-              Table.cell_float (Summary.mean row.adv);
-              Table.cell_float (Summary.max row.adv);
-              Table.cell_float (Summary.mean row.mc);
-              Table.cell_float (Summary.mean row.reveal);
-            ];
-          csv_rows :=
-            [
-              cname;
-              Strategy.to_string spec;
-              Printf.sprintf "%.6f" (Summary.mean row.adv);
-              Printf.sprintf "%.6f" (Summary.max row.adv);
-              Printf.sprintf "%.6f" (Summary.mean row.mc);
-              Printf.sprintf "%.6f" (Summary.mean row.reveal);
-            ]
-            :: !csv_rows)
-        rows)
-    (Workload.speed_robust_suite ~m);
-  print_string (Table.render table);
+  let rows =
+    List.concat
+      (List.mapi
+         (fun cidx (cname, workload) ->
+           let rows =
+             List.map
+               (fun (name, spec) ->
+                 ( Runner.strategy config ~m spec,
+                   { cname; name; spec; adv = Summary.create ();
+                     mc = Summary.create (); reveal = Summary.create () } ))
+               strategy_specs
+           in
+           Runner.paired config ~seed:(config.Runner.seed + (7127 * cidx)) ~reps
+             (fun rng ->
+               let instance =
+                 Workload.generate workload ~n ~m
+                   ~alpha:(Uncertainty.alpha alpha) rng
+               in
+               let instance = Instance.with_speed_band instance (Some band) in
+               let realization = Realization.exact instance in
+               let actuals = Realization.actuals realization in
+               let lb_at speeds = Core.Uniform.lower_bound ~speeds actuals in
+               let draws =
+                 Array.init mc_draws_per_rep (fun _ ->
+                     Speed_band.sample band (Rng.split rng))
+               in
+               List.map
+                 (fun (algo, _) ->
+                   let placement = algo.Core.Two_phase.phase1 instance in
+                   let sets = Core.Placement.sets placement in
+                   let order = Instance.lpt_order instance in
+                   let makespan speeds =
+                     Schedule.makespan
+                       (Engine.run ~speeds instance realization ~placement:sets
+                          ~order)
+                   in
+                   let run_ratio speeds = makespan speeds /. lb_at speeds in
+                   let adv_speeds, adv_ratio =
+                     Core.Speed_adversary.worst_case ~run:run_ratio
+                       ~candidates:(Array.to_list draws) instance placement band
+                   in
+                   (* Mid-run revelation: start every machine at its
+                      optimistic speed, then at [at] the fault layer slows
+                      each to the adversary's pick (factor = target /
+                      current). *)
+                   let his = Speed_band.his band in
+                   let at = 0.5 *. lb_at his in
+                   let factors = Array.mapi (fun i s -> s /. his.(i)) adv_speeds in
+                   let outcome =
+                     Engine.run_faulty ~speeds:his instance realization
+                       ~faults:(Trace.revelation ~m ~at factors)
+                       ~placement:sets ~order
+                   in
+                   ( adv_ratio,
+                     Array.map run_ratio draws,
+                     outcome.Engine.makespan /. lb_at adv_speeds ))
+                 rows)
+             (List.iter2
+                (fun (_, row) (adv, mc, reveal) ->
+                  Summary.add row.adv adv;
+                  Array.iter (Summary.add row.mc) mc;
+                  Summary.add row.reveal reveal)
+                rows);
+           let rows = List.map snd rows in
+           let mean_of row = Summary.mean row.adv in
+           let no_rep = mean_of (List.hd rows) in
+           let best_replicated =
+             List.fold_left
+               (fun acc r -> Float.min acc (mean_of r))
+               infinity (List.tl rows)
+           in
+           if best_replicated < no_rep then incr hedge_wins;
+           Metrics.set
+             (Metrics.gauge config.Runner.metrics
+                (Printf.sprintf "speed_robust.%s.no_replication" cname))
+             no_rep;
+           Metrics.set
+             (Metrics.gauge config.Runner.metrics
+                (Printf.sprintf "speed_robust.%s.best_replicated" cname))
+             best_replicated;
+           rows)
+         (Workload.speed_robust_suite ~m))
+  in
   Metrics.set
     (Metrics.gauge config.Runner.metrics "speed_robust.hedge_wins")
     (float_of_int !hedge_wins);
-  Runner.maybe_csv config ~name:"speed_robust"
-    ~header:
-      [ "class"; "strategy"; "adv_ratio_mean"; "adv_ratio_worst";
-        "mc_ratio_mean"; "reveal_ratio_mean" ]
-    (List.rev !csv_rows);
+  Sheet.emit config ~csv:"speed_robust"
+    [
+      Sheet.text ~csv:"class" "class" (fun r -> r.cname);
+      Sheet.column ~align:Table.Left "strategy" (fun r -> r.name)
+        ~csv:[ ("strategy", fun r -> Strategy.to_string r.spec) ];
+      Sheet.num ~csv:"adv_ratio_mean" "adv ratio" (fun r -> Summary.mean r.adv);
+      Sheet.num ~csv:"adv_ratio_worst" "adv worst" (fun r -> Summary.max r.adv);
+      Sheet.num ~csv:"mc_ratio_mean" "MC mean" (fun r -> Summary.mean r.mc);
+      Sheet.num ~csv:"reveal_ratio_mean" "reveal@t" (fun r ->
+          Summary.mean r.reveal);
+    ]
+    rows;
   Printf.printf
     "\nPinned placement commits each task to one machine before speeds are\n\
      known, so the adversary slows exactly the loaded machines and the\n\

@@ -14,15 +14,11 @@
    starts a backup, the first finisher wins, the loser's machine-time
    lands in wasted work. *)
 
-module Instance = Usched_model.Instance
 module Realization = Usched_model.Realization
-module Uncertainty = Usched_model.Uncertainty
-module Workload = Usched_model.Workload
 module Engine = Usched_desim.Engine
 module Arrival = Usched_desim.Arrival
 module Core = Usched_core
 module Table = Usched_report.Table
-module Rng = Usched_prng.Rng
 module Metrics = Usched_obs.Metrics
 module Quantile = Usched_stats.Quantile
 module Histogram = Usched_stats.Histogram
@@ -30,7 +26,6 @@ module Summary = Usched_stats.Summary
 
 let m = 6
 let n = 150
-let alpha = 1.5
 let loads = [ 0.6; 0.85; 1.1 ]
 (* Actuals are log-uniform within a factor alpha = 1.5 of the estimate,
    so a beta of 2 would never fire; 1.2 marks genuine stragglers. *)
@@ -67,6 +62,20 @@ let cells =
     };
   ]
 
+(* One table row: a (load, strategy) cell's pooled latency quantiles,
+   mean utilization, wasted fraction and drift. *)
+type row = {
+  rho : float;
+  strategy : string;
+  p50 : float;
+  p95 : float;
+  p99 : float;
+  util : float;
+  waste : float;
+  mean_drift : float;
+  stable : bool;
+}
+
 (* Mean latency of the second-admitted half over the first-admitted
    half. In a stable system both halves see the same stationary
    latency (ratio ~ 1); past saturation the backlog grows with every
@@ -97,23 +106,7 @@ let run config =
      drains after the last admitted task. drift > %.1f marks a cell\n\
      past its stability frontier. %d reps per cell, paired across\n\
      strategies.\n\n"
-    n m alpha drift_unstable reps;
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("rho", Table.Right);
-          ("strategy", Table.Left);
-          ("p50", Table.Right);
-          ("p95", Table.Right);
-          ("p99", Table.Right);
-          ("util", Table.Right);
-          ("waste", Table.Right);
-          ("drift", Table.Right);
-          ("verdict", Table.Left);
-        ]
-  in
-  let csv_rows = ref [] in
+    n m Fault_fixture.alpha drift_unstable reps;
   let unstable_cells = ref 0 in
   let mg name = Metrics.gauge config.Runner.metrics ("stream." ^ name) in
   let g_p50 = mg "p50_max"
@@ -121,117 +114,105 @@ let run config =
   and g_p99 = mg "p99_max"
   and g_util = mg "utilization_max" in
   let showcase = ref [||] in
-  List.iter
-    (fun rho ->
-      let master = Rng.create ~seed:(config.Runner.seed + 9091) () in
-      let results =
-        List.map
-          (fun cell ->
-            (cell, ref [], Summary.create (), Summary.create (),
-             Summary.create ()))
-          cells
-      in
-      for _ = 1 to reps do
-        let rng = Rng.split master in
-        let instance =
-          Workload.generate
-            (Workload.Uniform { lo = 1.0; hi = 10.0 })
-            ~n ~m ~alpha:(Uncertainty.alpha alpha) rng
+  let algos = List.map (fun cell -> Runner.strategy config ~m cell.spec) cells in
+  let rows =
+    List.concat_map
+      (fun rho ->
+        let results =
+          List.map
+            (fun cell ->
+              (cell, ref [], Summary.create (), Summary.create (),
+               Summary.create ()))
+            cells
         in
-        let realization = Realization.log_uniform_factor instance rng in
-        let actuals = Realization.actuals realization in
-        let mean_service =
-          Array.fold_left ( +. ) 0.0 actuals /. float_of_int n
-        in
-        let rate = rho *. float_of_int m /. mean_service in
-        let arrivals = Arrival.generate (Arrival.poisson ~rate) rng ~count:n in
-        let order = Array.init n (fun j -> j) in
-        let total_work = Array.fold_left ( +. ) 0.0 actuals in
-        List.iter
-          (fun (cell, pooled, util, drifts, waste) ->
-            let algo = Runner.strategy config ~m cell.spec in
-            let placement = algo.Core.Two_phase.phase1 instance in
-            let so =
-              Engine.run_stream ?speculation:cell.speculation instance
-                realization ~arrivals
-                ~placement:(Core.Placement.sets placement)
-                ~order
+        Runner.paired config ~seed:(config.Runner.seed + 9091) ~reps
+          (fun rng ->
+            let instance, realization = Fault_fixture.generate ~n ~m rng in
+            let actuals = Realization.actuals realization in
+            let mean_service =
+              Array.fold_left ( +. ) 0.0 actuals /. float_of_int n
             in
-            let outcome = so.Engine.outcome in
-            pooled := so.Engine.latencies :: !pooled;
-            Summary.add drifts (drift so.Engine.latencies);
-            Summary.add waste (outcome.Engine.wasted /. total_work);
-            if outcome.Engine.makespan > 0.0 then begin
-              let work = ref outcome.Engine.wasted in
-              Array.iteri
-                (fun j fate ->
-                  match fate with
-                  | Engine.Finished _ -> work := !work +. actuals.(j)
-                  | Engine.Stranded -> ())
-                outcome.Engine.fates;
-              Summary.add util
-                (!work /. (float_of_int m *. outcome.Engine.makespan))
-            end)
-          results
-      done;
-      List.iter
-        (fun (cell, pooled, util, drifts, waste) ->
-          let latencies = Array.concat !pooled in
-          Array.sort Float.compare latencies;
-          let q p =
-            if Array.length latencies = 0 then Float.nan
-            else Quantile.quantile latencies ~q:p
-          in
-          let mean_drift = Summary.mean drifts in
-          let stable = mean_drift <= drift_unstable in
-          if not stable then incr unstable_cells;
-          if stable then begin
-            (* The frontier gauges summarize the settled cells only: an
-               unstable cell's quantiles measure the admitted window,
-               not a stationary latency. *)
-            Metrics.record_max g_p50 (q 0.5);
-            Metrics.record_max g_p95 (q 0.95);
-            Metrics.record_max g_p99 (q 0.99)
-          end;
-          Metrics.record_max g_util (Summary.max util);
-          if rho = 0.85 && cell.label = "full-replication" then
-            showcase := latencies;
-          Table.add_row table
-            [
-              Printf.sprintf "%.2f" rho;
-              cell.label;
-              Table.cell_float (q 0.5);
-              Table.cell_float (q 0.95);
-              Table.cell_float (q 0.99);
-              Table.cell_float (Summary.mean util);
-              Printf.sprintf "%.1f%%" (100.0 *. Summary.mean waste);
-              Table.cell_float mean_drift;
-              (if stable then "stable" else "UNSTABLE");
-            ];
-          csv_rows :=
-            [
-              Printf.sprintf "%.2f" rho;
-              cell.label;
-              Printf.sprintf "%.6f" (q 0.5);
-              Printf.sprintf "%.6f" (q 0.95);
-              Printf.sprintf "%.6f" (q 0.99);
-              Printf.sprintf "%.6f" (Summary.mean util);
-              Printf.sprintf "%.6f" (Summary.mean waste);
-              Printf.sprintf "%.6f" mean_drift;
-              (if stable then "stable" else "unstable");
-            ]
-            :: !csv_rows)
-        results)
-    loads;
-  print_string (Table.render table);
+            let rate = rho *. float_of_int m /. mean_service in
+            let arrivals =
+              Arrival.generate (Arrival.poisson ~rate) rng ~count:n
+            in
+            let order = Array.init n (fun j -> j) in
+            let total_work = Array.fold_left ( +. ) 0.0 actuals in
+            List.map2
+              (fun cell algo ->
+                let placement = algo.Core.Two_phase.phase1 instance in
+                let so =
+                  Engine.run_stream ?speculation:cell.speculation instance
+                    realization ~arrivals
+                    ~placement:(Core.Placement.sets placement)
+                    ~order
+                in
+                let outcome = so.Engine.outcome in
+                ( so.Engine.latencies,
+                  outcome.Engine.wasted /. total_work,
+                  if outcome.Engine.makespan > 0.0 then
+                    Some (Engine.utilization ~m ~actuals outcome)
+                  else None ))
+              cells algos)
+          (List.iter2
+             (fun (_, pooled, util, drifts, waste) (latencies, wasted, u) ->
+               pooled := latencies :: !pooled;
+               Summary.add drifts (drift latencies);
+               Summary.add waste wasted;
+               Option.iter (Summary.add util) u)
+             results);
+        List.map
+          (fun (cell, pooled, util, drifts, waste) ->
+            let latencies = Array.concat !pooled in
+            Array.sort Float.compare latencies;
+            let q p = Quantile.quantile_or_nan latencies ~q:p in
+            let mean_drift = Summary.mean drifts in
+            let stable = mean_drift <= drift_unstable in
+            if not stable then incr unstable_cells;
+            if stable then begin
+              (* The frontier gauges summarize the settled cells only: an
+                 unstable cell's quantiles measure the admitted window,
+                 not a stationary latency. *)
+              Metrics.record_max g_p50 (q 0.5);
+              Metrics.record_max g_p95 (q 0.95);
+              Metrics.record_max g_p99 (q 0.99)
+            end;
+            Metrics.record_max g_util (Summary.max util);
+            if rho = 0.85 && cell.label = "full-replication" then
+              showcase := latencies;
+            {
+              rho;
+              strategy = cell.label;
+              p50 = q 0.5;
+              p95 = q 0.95;
+              p99 = q 0.99;
+              util = Summary.mean util;
+              waste = Summary.mean waste;
+              mean_drift;
+              stable;
+            })
+          results)
+      loads
+  in
   Metrics.set
     (Metrics.gauge config.Runner.metrics "stream.unstable_cells")
     (float_of_int !unstable_cells);
-  Runner.maybe_csv config ~name:"stream"
-    ~header:
-      [ "rho"; "strategy"; "p50"; "p95"; "p99"; "utilization";
-        "wasted_fraction"; "drift"; "verdict" ]
-    (List.rev !csv_rows);
+  Sheet.emit config ~csv:"stream"
+    [
+      Sheet.text ~align:Table.Right ~csv:"rho" "rho" (fun r ->
+          Printf.sprintf "%.2f" r.rho);
+      Sheet.text ~csv:"strategy" "strategy" (fun r -> r.strategy);
+      Sheet.num ~csv:"p50" "p50" (fun r -> r.p50);
+      Sheet.num ~csv:"p95" "p95" (fun r -> r.p95);
+      Sheet.num ~csv:"p99" "p99" (fun r -> r.p99);
+      Sheet.num ~csv:"utilization" "util" (fun r -> r.util);
+      Sheet.pct ~csv:"wasted_fraction" "waste" (fun r -> r.waste);
+      Sheet.num ~csv:"drift" "drift" (fun r -> r.mean_drift);
+      Sheet.column ~align:Table.Left "verdict"
+        (fun r -> if r.stable then "stable" else "UNSTABLE")
+        ~csv:[ ("verdict", fun r -> if r.stable then "stable" else "unstable") ];
+    ]
+    rows;
   if Array.length !showcase > 0 then begin
     Printf.printf
       "\nlatency distribution, full-replication at rho=0.85 (pooled over\n\

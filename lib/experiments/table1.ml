@@ -1,4 +1,3 @@
-module Instance = Usched_model.Instance
 module Uncertainty = Usched_model.Uncertainty
 module Workload = Usched_model.Workload
 module Core = Usched_core

@@ -158,6 +158,9 @@ let snapshot t =
 
 let find snapshot name = List.assoc_opt name snapshot
 
+let find_counter snapshot name =
+  match find snapshot name with Some (Counter c) -> c | _ -> 0
+
 let to_json snapshot =
   Json.Obj
     (List.map

@@ -85,6 +85,9 @@ val snapshot : t -> snapshot
 
 val find : snapshot -> string -> value option
 
+val find_counter : snapshot -> string -> int
+(** The counter's value, [0] when the name is absent or not a counter. *)
+
 val to_json : snapshot -> Usched_report.Json.t
 (** One object, field per instrument: counters as integers, gauges as
     numbers, timers as [{"total_s":..,"spans":..}], histograms as

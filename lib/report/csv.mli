@@ -11,6 +11,3 @@ val row : string list -> string
 val to_string : header:string list -> string list list -> string
 (** Full document with header line. Raises [Invalid_argument] if a row's
     arity differs from the header. *)
-
-val write_file : path:string -> header:string list -> string list list -> unit
-(** {!to_string} to a file. *)

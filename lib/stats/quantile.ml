@@ -27,6 +27,9 @@ let quantile a ~q =
   check_q q;
   interpolate (sorted_copy a) q
 
+let quantile_or_nan a ~q =
+  if Array.length a = 0 then Float.nan else quantile a ~q
+
 let quantiles a ~qs =
   Array.iter check_q qs;
   let sorted = sorted_copy a in

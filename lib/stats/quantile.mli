@@ -10,6 +10,10 @@ val quantile : float array -> q:float -> float
 (** [quantile a ~q] with [0 <= q <= 1]. Raises [Invalid_argument] on an
     empty array, out-of-range [q], or a NaN sample. *)
 
+val quantile_or_nan : float array -> q:float -> float
+(** {!quantile}, but [nan] on an empty array: a latency quantile over a
+    run that finished nothing. *)
+
 val median : float array -> float
 (** [quantile ~q:0.5]. *)
 

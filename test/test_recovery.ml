@@ -191,6 +191,51 @@ let detection_latency_delays_redispatch () =
          | _ -> false)
        events)
 
+let heal_precedes_detection () =
+  (* One task of 10 on {0, 1}, target 2 live holders, detection latency
+     5. m1 crashes at 1 (detected at 6); m2 is down over [0.5, 2) and its
+     rejoin at 2 runs the healer. The healer counts live holders against
+     the physical machine set, so it already re-replicates the task from
+     m0 to m2 at 2, before the crash is detected. *)
+  let instance =
+    Instance.of_ests ~m:3 ~alpha:Uncertainty.alpha_exact [| 10.0 |]
+  in
+  let realization = Realization.exact instance in
+  let faults =
+    Trace.of_events ~m:3
+      [ outage ~machine:2 ~time:0.5 ~until:2.0; crash ~machine:1 ~time:1.0 ]
+  in
+  let outcome, events =
+    Engine.run_faulty_traced
+      ~recovery:
+        (Recovery.make ~detection_latency:5.0
+           ~rereplication_target:(Recovery.Fixed 2) ~bandwidth:1.0 ())
+      instance realization ~faults
+      ~placement:[| Bitset.of_list 3 [ 0; 1 ] |]
+      ~order:(submission_order 1)
+  in
+  checki "completes" 1 outcome.Engine.completed;
+  let index p =
+    let rec go i = function
+      | [] -> Alcotest.fail "event not found"
+      | e :: rest -> if p e then i else go (i + 1) rest
+    in
+    go 0 events
+  in
+  let started =
+    index (function
+      | Engine.Rereplication_started { time; task = 0; src = 0; dst = 2 } ->
+          time = 2.0
+      | _ -> false)
+  in
+  let detected =
+    index (function
+      | Engine.Failure_detected { time; machine = 1 } -> time = 6.0
+      | _ -> false)
+  in
+  checkb "re-replication starts before the crash is detected" true
+    (started < detected)
+
 let checkpoint_resume_on_rejoin () =
   (* One task of 10 on a single machine, outage [5, 8), checkpoint
      interval 2. At the kill 5 units are done, 4 of them banked
@@ -588,6 +633,8 @@ let () =
             heal_rescues_singleton;
           Alcotest.test_case "detection latency delays re-dispatch" `Quick
             detection_latency_delays_redispatch;
+          Alcotest.test_case "a heal before detection re-replicates" `Quick
+            heal_precedes_detection;
           Alcotest.test_case "checkpoint resumes on rejoin" `Quick
             checkpoint_resume_on_rejoin;
           Alcotest.test_case "a crash destroys the local checkpoint" `Quick

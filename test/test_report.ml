@@ -63,17 +63,6 @@ let csv_arity_checked () =
   Alcotest.check_raises "arity" (Invalid_argument "Csv.to_string: arity mismatch")
     (fun () -> ignore (Csv.to_string ~header:[ "x" ] [ [ "1"; "2" ] ]))
 
-let csv_round_trip_file () =
-  let path = Filename.temp_file "usched" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write_file ~path ~header:[ "a" ] [ [ "1" ] ];
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      checks "written" "a\n1\n" content)
-
 let plot_renders_series () =
   let text =
     Plot.plot ~width:30 ~height:8 ~x_label:"k" ~y_label:"ratio"
@@ -117,7 +106,6 @@ let () =
           Alcotest.test_case "escaping" `Quick csv_escaping;
           Alcotest.test_case "document" `Quick csv_document;
           Alcotest.test_case "arity" `Quick csv_arity_checked;
-          Alcotest.test_case "file round trip" `Quick csv_round_trip_file;
         ] );
       ( "plot",
         [
