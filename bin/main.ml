@@ -572,6 +572,9 @@ let solve_cmd =
            ~topology:(Model.Instance.topology_or_uniform instance)
            ~sizes)
     in
+    (* Every engine replay below runs under the same LPT order: sorted
+       at most once, and only if some replay runs. *)
+    let lpt_order = lazy (Model.Instance.lpt_order instance) in
     let with_sink f =
       match trace_path with
       | None -> f None
@@ -580,6 +583,26 @@ let solve_cmd =
     with_sink @@ fun sink ->
     let tracing = sink <> None in
     let emit json = match sink with None -> () | Some s -> Sink.emit s json in
+    (* Run an engine replay with its events streamed into the sink as
+       JSONL: each event is serialized straight into one buffer, flushed
+       when it grows large and once when the replay returns, before the
+       next record. Untraced, the replay gets no callback at all. *)
+    let stream_events replay =
+      match sink with
+      | None -> replay None
+      | Some s ->
+          let chunk = 65536 in
+          let buf = Buffer.create chunk in
+          let x =
+            replay
+              (Some
+                 (fun e ->
+                   Usched_desim.Engine.add_event_jsonl buf e;
+                   if Buffer.length buf >= chunk then Sink.write s buf))
+          in
+          Sink.write s buf;
+          x
+    in
     if tracing then
       emit
         (Json.Obj
@@ -660,7 +683,7 @@ let solve_cmd =
             (Usched_desim.Engine.run ~speeds:sp ~dispatch:policy instance
                realization
                ~placement:(Core.Placement.sets placement)
-               ~order:(Model.Instance.lpt_order instance))
+               ~order:(Lazy.force lpt_order))
         in
         let slb =
           Core.Uniform.lower_bound ~speeds:sp
@@ -721,7 +744,7 @@ let solve_cmd =
            in-flight work. *)
         let actuals = Model.Realization.actuals realization in
         let sets = Core.Placement.sets placement in
-        let order = Model.Instance.lpt_order instance in
+        let order = Lazy.force lpt_order in
         let makespan_at sp =
           Usched_desim.Schedule.makespan
             (Usched_desim.Engine.run ~speeds:sp ~dispatch:policy instance
@@ -791,7 +814,7 @@ let solve_cmd =
         Usched_desim.Schedule.makespan
           (Usched_desim.Engine.run ?speeds ~dispatch instance realization
              ~placement:(Core.Placement.sets placement)
-             ~order:(Model.Instance.lpt_order instance))
+             ~order:(Lazy.force lpt_order))
       in
       let pm = replay policy in
       Printf.printf "dispatch policy %s: replay C_max = %.4f (%.4fx default)\n"
@@ -805,13 +828,13 @@ let solve_cmd =
         (Json.Obj
            [ ("type", Json.String "phase"); ("name", Json.String "healthy") ]);
       let metrics = Metrics.create () in
-      let replay, events =
-        Usched_desim.Engine.run_traced ?speeds ~dispatch:policy ~metrics
-          instance realization
-          ~placement:(Core.Placement.sets placement)
-          ~order:(Model.Instance.lpt_order instance)
+      let replay =
+        stream_events (fun emit ->
+            Usched_desim.Engine.run ?speeds ~dispatch:policy ~metrics ?emit
+              instance realization
+              ~placement:(Core.Placement.sets placement)
+              ~order:(Lazy.force lpt_order))
       in
-      List.iter (fun e -> emit (Usched_desim.Engine.event_json e)) events;
       emit
         (Json.Obj
            [
@@ -854,35 +877,24 @@ let solve_cmd =
              [ ("type", Json.String "phase"); ("name", Json.String "stream") ]);
       let metrics = if tracing then Metrics.create () else Metrics.disabled in
       let so =
-        if tracing then begin
-          let so, events =
-            Usched_desim.Engine.run_stream_traced ?speeds
-              ?speculation:speculate ~dispatch:policy ~recovery ~metrics
-              ~faults instance realization
-              ~arrivals
+        stream_events (fun emit ->
+            Usched_desim.Engine.run_stream ?speeds ?speculation:speculate
+              ~dispatch:policy ~recovery ~metrics ?emit ~faults instance
+              realization ~arrivals
               ~placement:(Core.Placement.sets placement)
-              ~order
-          in
-          List.iter (fun e -> emit (Usched_desim.Engine.event_json e)) events;
-          emit
-            (Json.Obj
-               [
-                 ("type", Json.String "metrics");
-                 ("phase", Json.String "stream");
-                 ("metrics", Metrics.to_json (Metrics.snapshot metrics));
-               ]);
-          so
-        end
-        else
-          Usched_desim.Engine.run_stream ?speeds ?speculation:speculate
-            ~dispatch:policy ~recovery ~metrics ~faults instance realization
-            ~arrivals
-            ~placement:(Core.Placement.sets placement)
-            ~order
+              ~order)
       in
+      if tracing then
+        emit
+          (Json.Obj
+             [
+               ("type", Json.String "metrics");
+               ("phase", Json.String "stream");
+               ("metrics", Metrics.to_json (Metrics.snapshot metrics));
+             ]);
       let outcome = so.Usched_desim.Engine.outcome in
       let lat = so.Usched_desim.Engine.latencies in
-      let q p = Usched_stats.Quantile.quantile_or_nan lat ~q:p in
+      let p50, p95, p99 = Usched_stats.Quantile.p50_p95_p99 lat in
       let mean =
         if Array.length lat = 0 then Float.nan
         else
@@ -919,7 +931,7 @@ let solve_cmd =
         | ids ->
             Printf.sprintf " (stranded: %s)"
               (String.concat "; " (List.map string_of_int ids)))
-        drain (q 0.5) (q 0.95) (q 0.99) mean throughput utilization
+        drain p50 p95 p99 mean throughput utilization
         outcome.Usched_desim.Engine.wasted;
       if gantt && Array.length lat > 0 then begin
         print_string "latency distribution:\n";
@@ -936,9 +948,9 @@ let solve_cmd =
              ( "stranded",
                Json.Int (List.length outcome.Usched_desim.Engine.stranded) );
              ("makespan", Json.float drain);
-             ("p50", Json.float (q 0.5));
-             ("p95", Json.float (q 0.95));
-             ("p99", Json.float (q 0.99));
+             ("p50", Json.float p50);
+             ("p95", Json.float p95);
+             ("p99", Json.float p99);
              ("mean_latency", Json.float mean);
              ("throughput", Json.float throughput);
              ("utilization", Json.float utilization);
@@ -958,16 +970,15 @@ let solve_cmd =
       let metrics =
         if tracing || rec_active then Metrics.create () else Metrics.disabled
       in
-      let outcome, events =
-        Usched_desim.Engine.run_faulty_traced ?speeds ?speculation:speculate
-          ~dispatch:policy ~recovery ~metrics instance realization ~faults
-          ~placement:(Core.Placement.sets placement)
-          ~order:(Model.Instance.lpt_order instance)
+      let outcome =
+        stream_events (fun emit ->
+            Usched_desim.Engine.run_faulty ?speeds ?speculation:speculate
+              ~dispatch:policy ~recovery ~metrics ?emit instance realization
+              ~faults
+              ~placement:(Core.Placement.sets placement)
+              ~order:(Lazy.force lpt_order))
       in
-      if tracing then begin
-        List.iter (fun e -> emit (Usched_desim.Engine.event_json e)) events;
-        emit (Usched_desim.Engine.outcome_json outcome)
-      end;
+      if tracing then emit (Usched_desim.Engine.outcome_json outcome);
       Printf.printf
         "\nfaulty replay (fail-rate %g%s): crashed machines [%s]\n\
          completed %d/%d tasks%s, effective C_max = %.4f (%.2fx healthy), \

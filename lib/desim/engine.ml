@@ -1079,9 +1079,11 @@ let traced f =
   let x = f (fun e -> events := e :: !events) in
   (x, List.rev !events)
 
-let run ?speeds ?dispatch ?metrics instance realization ~placement ~order =
+let run ?speeds ?dispatch ?metrics ?emit instance realization ~placement
+    ~order =
   schedule_of
-    (simulate ?speeds ?dispatch ?metrics instance realization ~placement ~order)
+    (simulate ?speeds ?dispatch ?metrics ?emit instance realization ~placement
+       ~order)
 
 let run_traced ?speeds ?dispatch ?metrics instance realization ~placement
     ~order =
@@ -1090,10 +1092,10 @@ let run_traced ?speeds ?dispatch ?metrics instance realization ~placement
         (simulate ?speeds ?dispatch ?metrics ~emit instance realization
            ~placement ~order))
 
-let run_faulty ?speeds ?speculation ?dispatch ?recovery ?metrics instance
-    realization ~faults ~placement ~order =
+let run_faulty ?speeds ?speculation ?dispatch ?recovery ?metrics ?emit
+    instance realization ~faults ~placement ~order =
   outcome_of
-    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics ~faults
+    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics ~faults ?emit
        instance realization ~placement ~order)
 
 let run_faulty_traced ?speeds ?speculation ?dispatch ?recovery ?metrics
@@ -1130,10 +1132,10 @@ let stream_of ~arrivals r =
 let stream_faults instance faults =
   Option.value faults ~default:(Trace.empty ~m:(Instance.m instance))
 
-let run_stream ?speeds ?speculation ?dispatch ?recovery ?metrics ?faults
-    instance realization ~arrivals ~placement ~order =
+let run_stream ?speeds ?speculation ?dispatch ?recovery ?metrics ?emit
+    ?faults instance realization ~arrivals ~placement ~order =
   stream_of ~arrivals
-    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics
+    (simulate ?speeds ?speculation ?dispatch ?recovery ?metrics ?emit
        ~faults:(stream_faults instance faults) ~arrivals instance realization
        ~placement ~order)
 
@@ -1197,6 +1199,77 @@ let event_json e =
           ("task", Json.Int task);
           ("progress", Json.float progress);
         ]
+
+(* The bytes of [Json.to_string (event_json e) ^ "\n"], written without
+   building the tree: constant prefixes and keys as literals, numbers
+   through the [Json] writers. One helper per record shape; [prefix] is
+   the literal up to the clock, {|{"type":"event","kind":"…","t":|}. *)
+let add_m buf prefix time machine =
+  Buffer.add_string buf prefix;
+  Json.add_float buf time;
+  Buffer.add_string buf {|,"machine":|};
+  Json.add_int buf machine
+
+let add_mt buf prefix time machine task =
+  add_m buf prefix time machine;
+  Buffer.add_string buf {|,"task":|};
+  Json.add_int buf task
+
+let add_tsd buf prefix time task src dst =
+  Buffer.add_string buf prefix;
+  Json.add_float buf time;
+  Buffer.add_string buf {|,"task":|};
+  Json.add_int buf task;
+  Buffer.add_string buf {|,"src":|};
+  Json.add_int buf src;
+  Buffer.add_string buf {|,"dst":|};
+  Json.add_int buf dst
+
+let add_float_field buf key v =
+  Buffer.add_string buf key;
+  Json.add_float buf v
+
+let add_event_jsonl buf e =
+  (match e with
+  | Arrived { time; task } ->
+      Buffer.add_string buf {|{"type":"event","kind":"arrived","t":|};
+      Json.add_float buf time;
+      Buffer.add_string buf {|,"task":|};
+      Json.add_int buf task
+  | Started { time; machine; task } ->
+      add_mt buf {|{"type":"event","kind":"started","t":|} time machine task
+  | Completed { time; machine; task } ->
+      add_mt buf {|{"type":"event","kind":"completed","t":|} time machine task
+  | Killed { time; machine; task } ->
+      add_mt buf {|{"type":"event","kind":"killed","t":|} time machine task
+  | Cancelled { time; machine; task } ->
+      add_mt buf {|{"type":"event","kind":"cancelled","t":|} time machine task
+  | Machine_crashed { time; machine } ->
+      add_m buf {|{"type":"event","kind":"machine_crashed","t":|} time machine
+  | Machine_down { time; machine; until } ->
+      add_m buf {|{"type":"event","kind":"machine_down","t":|} time machine;
+      add_float_field buf {|,"until":|} until
+  | Machine_up { time; machine } ->
+      add_m buf {|{"type":"event","kind":"machine_up","t":|} time machine
+  | Machine_slowed { time; machine; factor } ->
+      add_m buf {|{"type":"event","kind":"machine_slowed","t":|} time machine;
+      add_float_field buf {|,"factor":|} factor
+  | Failure_detected { time; machine } ->
+      add_m buf {|{"type":"event","kind":"failure_detected","t":|} time machine
+  | Rereplication_started { time; task; src; dst } ->
+      add_tsd buf {|{"type":"event","kind":"rereplication_started","t":|} time
+        task src dst
+  | Rereplication_completed { time; task; src; dst } ->
+      add_tsd buf {|{"type":"event","kind":"rereplication_completed","t":|}
+        time task src dst
+  | Rereplication_aborted { time; task; src; dst } ->
+      add_tsd buf {|{"type":"event","kind":"rereplication_aborted","t":|} time
+        task src dst
+  | Checkpoint_resumed { time; machine; task; progress } ->
+      add_mt buf {|{"type":"event","kind":"checkpoint_resumed","t":|} time
+        machine task;
+      add_float_field buf {|,"progress":|} progress);
+  Buffer.add_string buf "}\n"
 
 let outcome_json outcome =
   Json.Obj

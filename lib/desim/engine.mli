@@ -42,10 +42,18 @@
     paper's introduction, made executable); {!run_stream} adds arrival
     times. {!run} is the loop on the empty trace, with no speculation
     and no recovery, so {!run_faulty} on the empty trace is {!run}
-    bit-for-bit. The [_traced] variants return the events the loop
-    emitted, in the order it processed them — every event carries the
-    clock at which it was emitted, so the log is chronological; at one
-    instant a machine's [Completed] precedes the [Started] it triggers.
+    bit-for-bit.
+
+    {b Event stream.} {!run}, {!run_faulty} and {!run_stream} take an
+    optional [?emit] callback: the loop hands it each event as it
+    processes it, so the stream is chronological — every event carries
+    the clock at which it was emitted, and at one instant a machine's
+    [Completed] precedes the [Started] it triggers. No log is kept:
+    [usched solve --trace] passes a callback that serializes each event
+    with {!add_event_jsonl} into a buffer flushed to the trace file. The
+    [_traced] variants collect the same events into a list and return
+    it. The callback observes only; the run is bit-for-bit the same
+    with or without it.
 
     {b Observability}: every entry point accepts an optional
     [Usched_obs.Metrics] registry. When one is passed, the engine records
@@ -151,6 +159,7 @@ val run :
   ?speeds:float array ->
   ?dispatch:Dispatch.spec ->
   ?metrics:Metrics.t ->
+  ?emit:(event -> unit) ->
   Instance.t ->
   Realization.t ->
   placement:Bitset.t array ->
@@ -166,7 +175,8 @@ val run :
     [order] is malformed (wrong length, empty machine set, order not a
     permutation), when [speeds] has the wrong length or a non-positive
     entry, and {!Unschedulable} if some task can never be scheduled
-    (impossible for well-formed inputs). *)
+    (impossible for well-formed inputs). [emit] receives every event in
+    order (see the module docstring). *)
 
 val run_traced :
   ?speeds:float array ->
@@ -223,6 +233,7 @@ val run_faulty :
   ?dispatch:Dispatch.spec ->
   ?recovery:Usched_faults.Recovery.t ->
   ?metrics:Metrics.t ->
+  ?emit:(event -> unit) ->
   Instance.t ->
   Realization.t ->
   faults:Usched_faults.Trace.t ->
@@ -338,6 +349,7 @@ val run_stream :
   ?dispatch:Dispatch.spec ->
   ?recovery:Usched_faults.Recovery.t ->
   ?metrics:Metrics.t ->
+  ?emit:(event -> unit) ->
   ?faults:Usched_faults.Trace.t ->
   Instance.t ->
   Realization.t ->
@@ -389,8 +401,16 @@ val run_stream_traced :
 
 val event_json : event -> Usched_report.Json.t
 (** [{"type":"event","kind":"started","t":..,"machine":..,"task":..}] and
-    friends; [Machine_down] adds ["until"], [Machine_slowed] adds
-    ["factor"]. *)
+    friends; [Machine_down] adds ["until"] ([null] when the outage never
+    ends), [Machine_slowed] adds ["factor"], [Checkpoint_resumed] adds
+    ["progress"]. *)
+
+val add_event_jsonl : Buffer.t -> event -> unit
+(** Append the event's JSONL line: exactly the bytes of
+    [Json.to_string (event_json e) ^ "\n"], written without building the
+    tree — the fixed schema's prefixes and keys are literals, numbers go
+    through [Json.add_int] / [Json.add_float]. The streaming writer
+    behind [usched solve --trace]. *)
 
 val outcome_json : outcome -> Usched_report.Json.t
 (** [{"type":"outcome","completed":..,"stranded":[..],"makespan":..,

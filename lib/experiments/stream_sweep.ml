@@ -164,8 +164,7 @@ let run config =
         List.map
           (fun (cell, pooled, util, drifts, waste) ->
             let latencies = Array.concat !pooled in
-            Array.sort Float.compare latencies;
-            let q p = Quantile.quantile_or_nan latencies ~q:p in
+            let p50, p95, p99 = Quantile.p50_p95_p99 latencies in
             let mean_drift = Summary.mean drifts in
             let stable = mean_drift <= drift_unstable in
             if not stable then incr unstable_cells;
@@ -173,9 +172,9 @@ let run config =
               (* The frontier gauges summarize the settled cells only: an
                  unstable cell's quantiles measure the admitted window,
                  not a stationary latency. *)
-              Metrics.record_max g_p50 (q 0.5);
-              Metrics.record_max g_p95 (q 0.95);
-              Metrics.record_max g_p99 (q 0.99)
+              Metrics.record_max g_p50 p50;
+              Metrics.record_max g_p95 p95;
+              Metrics.record_max g_p99 p99
             end;
             Metrics.record_max g_util (Summary.max util);
             if rho = 0.85 && cell.label = "full-replication" then
@@ -183,9 +182,9 @@ let run config =
             {
               rho;
               strategy = cell.label;
-              p50 = q 0.5;
-              p95 = q 0.95;
-              p99 = q 0.99;
+              p50;
+              p95;
+              p99;
               util = Summary.mean util;
               waste = Summary.mean waste;
               mean_drift;

@@ -19,6 +19,11 @@ let emit t json =
   if t.closed then invalid_arg "Trace.emit: sink is closed";
   Usched_report.Json.output_line t.oc json
 
+let write t buf =
+  if t.closed then invalid_arg "Trace.write: sink is closed";
+  Buffer.output_buffer t.oc buf;
+  Buffer.clear buf
+
 let path t = t.path
 
 let close t =

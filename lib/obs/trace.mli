@@ -5,10 +5,10 @@
     {!Fs.mkdir_p} and are {e crash-safe}: records stream to a temp file
     ({!Fs.temp_path}) that is renamed over the target only at {!close},
     so an interrupted run never leaves a torn trace behind. Consumers:
-    [usched solve --trace FILE] serializes engine events and metrics
-    snapshots; the experiment runner writes per-run manifests. (Not to
-    be confused with [Usched_faults.Trace], the failure history of a
-    simulated run.) *)
+    [usched solve --trace FILE] streams engine events through {!write}
+    and adds metrics snapshots through {!emit}; the experiment runner
+    writes per-run manifests. (Not to be confused with
+    [Usched_faults.Trace], the failure history of a simulated run.) *)
 
 type t
 
@@ -19,6 +19,14 @@ val create : path:string -> t
 val emit : t -> Usched_report.Json.t -> unit
 (** Append one record as a single line. Raises [Invalid_argument] on a
     closed (or discarded) sink. *)
+
+val write : t -> Buffer.t -> unit
+(** Append the buffer's bytes verbatim and clear the buffer: the raw
+    path for records serialized elsewhere, which must be whole lines
+    (each ending in a newline). A caller streaming many records into
+    one buffer calls this whenever it grows large, and once before the
+    next {!emit}, so records keep their order. Raises
+    [Invalid_argument] on a closed (or discarded) sink. *)
 
 val path : t -> string
 

@@ -9,36 +9,93 @@ type t =
 
 let float f = if Float.is_finite f then Float f else Null
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
-(* Shortest representation that parses back to the same float; falls back
-   to 17 significant digits (always exact for binary64). *)
+(* Decimal digits straight into the buffer: no intermediate string. *)
+let add_int buf i =
+  if i < 0 then Buffer.add_string buf (string_of_int i)
+  else begin
+    let rec top p = if p > i / 10 then p else top (p * 10) in
+    let rec go p =
+      Buffer.add_char buf (Char.unsafe_chr (48 + (i / p mod 10)));
+      if p > 1 then go (p / 10)
+    in
+    go (top 1)
+  end
+
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Significant digits 13-17 of a [%.17g] rendering as an integer, or -1
+   when it has fewer than 17 significant digits ([%g] strips trailing
+   zeros) or is not a number. *)
+let tail5 s =
+  let n = String.length s in
+  let rec go i sig_digits acc =
+    if i = n || s.[i] = 'e' then if sig_digits = 17 then acc else -1
+    else
+      match s.[i] with
+      | '0' when sig_digits = 0 -> go (i + 1) 0 acc
+      | '0' .. '9' as c ->
+          let sig_digits = sig_digits + 1 in
+          let acc =
+            if sig_digits > 12 then (acc * 10) + Char.code c - 48 else acc
+          in
+          go (i + 1) sig_digits acc
+      | _ -> go (i + 1) sig_digits acc
+  in
+  go 0 0 0
+
+let is_small_int f =
+  Float.is_integer f && Float.abs f < 1e12 && not (f = 0.0 && Float.sign_bit f)
+
+(* The rule: [%.12g] when it parses back to [f], else [%.17g] (always
+   exact for binary64) — decided in one [%.17g] print for almost every
+   non-integral value. If [%.12g] round-trips, [f] is the
+   double nearest some 12-digit decimal [d]; a normal binary64 half-ulp
+   is under 11.1 units of the 17th significant digit, so [f]'s 17-digit
+   rendering ends within 12 units of a multiple of 10^5 (digits 13-17
+   in [0, 12] or [99988, 99999]). Digits strictly inside (100, 99900)
+   thus prove that [%.12g] does not round-trip and [%.17g] is the
+   answer. Integers below 10^12 print the same through [%.12g] and
+   [string_of_int], except -0.0 (["-0"]). Subnormals, whose ulp is
+   relatively larger, and every other value take the full rule. *)
 let float_repr f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  if is_small_int f then string_of_int (int_of_float f)
+  else
+    let s17 = format_float "%.17g" f in
+    let t = tail5 s17 in
+    if t > 100 && t < 99900 && Float.abs f >= Float.min_float then s17
+    else
+      let s12 = format_float "%.12g" f in
+      if float_of_string s12 = f then s12 else s17
 
 let add_float buf f =
   if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if is_small_int f then add_int buf (int_of_float f)
   else Buffer.add_string buf (float_repr f)
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> add_float buf f
   | String s -> add_escaped buf s
   | List items ->

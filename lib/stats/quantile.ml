@@ -27,9 +27,6 @@ let quantile a ~q =
   check_q q;
   interpolate (sorted_copy a) q
 
-let quantile_or_nan a ~q =
-  if Array.length a = 0 then Float.nan else quantile a ~q
-
 let quantiles a ~qs =
   Array.iter check_q qs;
   let sorted = sorted_copy a in
@@ -45,3 +42,10 @@ let quartiles a =
 let iqr a =
   let q1, _, q3 = quartiles a in
   q3 -. q1
+
+let p50_p95_p99 a =
+  if Array.length a = 0 then (Float.nan, Float.nan, Float.nan)
+  else
+    match quantiles a ~qs:[| 0.5; 0.95; 0.99 |] with
+    | [| p50; p95; p99 |] -> (p50, p95, p99)
+    | _ -> assert false

@@ -10,10 +10,6 @@ val quantile : float array -> q:float -> float
 (** [quantile a ~q] with [0 <= q <= 1]. Raises [Invalid_argument] on an
     empty array, out-of-range [q], or a NaN sample. *)
 
-val quantile_or_nan : float array -> q:float -> float
-(** {!quantile}, but [nan] on an empty array: a latency quantile over a
-    run that finished nothing. *)
-
 val median : float array -> float
 (** [quantile ~q:0.5]. *)
 
@@ -25,3 +21,8 @@ val iqr : float array -> float
 
 val quantiles : float array -> qs:float array -> float array
 (** Batched {!quantile}, sorting the input only once. *)
+
+val p50_p95_p99 : float array -> float * float * float
+(** The latency tail [(p50, p95, p99)] from one sort ({!quantiles});
+    all [nan] on an empty array: the quantiles of a run that finished
+    nothing. *)

@@ -333,6 +333,149 @@ let json_round_trip () =
         (match Json.of_string bad with Error _ -> true | Ok _ -> false))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ]
 
+(* The float rule [Json.float_repr] must reproduce byte for byte:
+   [%.12g] when it parses back, else [%.17g]. *)
+let float_repr_reference f =
+  let s = Printf.sprintf "%.12g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Uniform over all 64-bit patterns: NaNs, infinities and subnormals
+   included. *)
+let gen_float_bits st =
+  let b () = Int64.of_int (Random.State.bits st) in
+  Int64.float_of_bits
+    Int64.(logxor (shift_left (b ()) 34) (logxor (shift_left (b ()) 17) (b ())))
+
+(* The classes where a digit-counting shortcut could go wrong. *)
+let gen_float_edge st =
+  let sign = if Random.State.bool st then 1.0 else -1.0 in
+  let pow10 e = float_of_string ("1e" ^ string_of_int e) in
+  let nudge f =
+    match Random.State.int st 3 with
+    | 0 -> Float.pred f
+    | 1 -> Float.succ f
+    | _ -> f
+  in
+  let decimal digits =
+    float_of_string
+      (Printf.sprintf "%de%d"
+         (Random.State.full_int st (int_of_float (pow10 digits)))
+         (Random.State.int st 30 - 20))
+  in
+  match Random.State.int st 8 with
+  | 0 -> (* integers and half-integers around 10^12 *)
+      sign *. (1e12 +. float_of_int (Random.State.int st 7 - 3)
+               +. if Random.State.bool st then 0.5 else 0.0)
+  | 1 ->
+      nudge
+        (List.nth
+           [ 0.0; -0.0; min_float; -.min_float; max_float; -.max_float;
+             epsilon_float; 5e-324 ]
+           (Random.State.int st 8))
+  | 2 -> (* subnormals *)
+      sign *. Int64.float_of_bits
+                (Int64.of_int (1 + Random.State.full_int st ((1 lsl 52) - 1)))
+  | 3 -> sign *. nudge (pow10 (Random.State.int st 631 - 323))
+  | 4 ->
+      (* just below 10^k: [%.12g] rounds up into the next exponent *)
+      sign *. (1.0 -. (Random.State.float st 1e-11))
+      *. pow10 (Random.State.int st 600 - 300)
+  | 5 -> sign *. decimal 12 (* round-trips through [%.12g] *)
+  | 6 -> decimal 6 +. decimal 6 (* event-clock arithmetic *)
+  | _ -> sign *. float_of_int (Random.State.bits st)
+
+let prop_float_repr name gen =
+  QCheck.Test.make ~name ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> Json.float_repr f = float_repr_reference f)
+
+(* The per-character escape rule of RFC 8259 that the fast path of
+   [Json]'s string writer must reproduce. *)
+let escaped_reference s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let prop_escaped =
+  QCheck.Test.make ~name:"string escaping equals the per-character rule"
+    ~count:2000
+    QCheck.(
+      string_gen_of_size Gen.(int_range 0 20)
+        Gen.(frequency [ (8, printable); (1, char_range '\000' '\031');
+                         (1, oneofl [ '"'; '\\'; '\255' ]) ]))
+    (fun s -> Json.to_string (Json.String s) = escaped_reference s)
+
+(* One value of every event constructor; the match in [kind_index] is
+   exhaustive, so a new constructor fails to compile here until it is
+   added to [all_events]. *)
+let kind_index : Engine.event -> int = function
+  | Arrived _ -> 0
+  | Started _ -> 1
+  | Completed _ -> 2
+  | Killed _ -> 3
+  | Cancelled _ -> 4
+  | Machine_crashed _ -> 5
+  | Machine_down _ -> 6
+  | Machine_up _ -> 7
+  | Machine_slowed _ -> 8
+  | Failure_detected _ -> 9
+  | Rereplication_started _ -> 10
+  | Rereplication_completed _ -> 11
+  | Rereplication_aborted _ -> 12
+  | Checkpoint_resumed _ -> 13
+
+let all_events =
+  let t = 0.1 +. 0.2 in
+  Engine.
+    [
+      Arrived { time = 0.0; task = 7 };
+      Started { time = 1.5; machine = 0; task = 1234567 };
+      Completed { time = t; machine = 12; task = 9 };
+      Killed { time = 1e-7; machine = 3; task = 10 };
+      Cancelled { time = 123456789.125; machine = 4; task = 0 };
+      Machine_crashed { time = 2e12; machine = 5 };
+      Machine_down { time = 3.0; machine = 6; until = infinity };
+      Machine_down { time = 3.0; machine = 6; until = t +. 4.0 };
+      Machine_up { time = 1e15 +. 0.3; machine = 6 };
+      Machine_slowed { time = 4.25; machine = 7; factor = 1.0 /. 3.0 };
+      Failure_detected { time = -0.0; machine = 8 };
+      Rereplication_started { time = 5.0; task = 1; src = 2; dst = 3 };
+      Rereplication_completed { time = 6.0; task = 1; src = 2; dst = 3 };
+      Rereplication_aborted { time = 7.0; task = 1; src = 2; dst = 30 };
+      Checkpoint_resumed { time = 8.0; machine = 9; task = 4; progress = t };
+    ]
+
+let event_jsonl_matches_tree () =
+  let seen = Array.make 14 false in
+  List.iter
+    (fun e ->
+      seen.(kind_index e) <- true;
+      let expected = Json.to_string (Engine.event_json e) ^ "\n" in
+      let buf = Buffer.create 64 in
+      Engine.add_event_jsonl buf e;
+      checks expected expected (Buffer.contents buf))
+    all_events;
+  checkb "every constructor covered" true (Array.for_all Fun.id seen);
+  checkb "an endless outage writes null" true
+    (let buf = Buffer.create 64 in
+     Engine.add_event_jsonl buf
+       (Engine.Machine_down { time = 3.0; machine = 6; until = infinity });
+     Buffer.contents buf
+     = {|{"type":"event","kind":"machine_down","t":3,"machine":6,"until":null}|}
+       ^ "\n")
+
 let temp_dir () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -364,6 +507,38 @@ let jsonl_sink () =
   checki "one line per record" (List.length records) (List.length lines);
   checkb "each line parses back to its record" true
     (List.for_all2 (fun line r -> Json.of_string_exn line = r) lines records)
+
+(* Raw lines written through [Sink.write] interleave with [Sink.emit]
+   records in call order, and the buffer is handed back empty. *)
+let jsonl_sink_write () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "raw.jsonl" in
+  let buf = Buffer.create 64 in
+  Sink.with_file ~path (fun sink ->
+      Sink.emit sink (Json.Obj [ ("type", Json.String "phase") ]);
+      List.iter (Engine.add_event_jsonl buf) all_events;
+      Sink.write sink buf;
+      checki "buffer cleared" 0 (Buffer.length buf);
+      Sink.emit sink (Json.Obj [ ("type", Json.String "outcome") ]));
+  let ic = open_in_bin path in
+  let got = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let expected =
+    String.concat ""
+      (({|{"type":"phase"}|} ^ "\n")
+       :: List.map (fun e -> Json.to_string (Engine.event_json e) ^ "\n")
+            all_events
+      @ [ {|{"type":"outcome"}|} ^ "\n" ])
+  in
+  checks "file bytes" expected got;
+  let sink = Sink.create ~path:(Filename.concat dir "closed.jsonl") in
+  Sink.close sink;
+  checkb "write to a closed sink raises" true
+    (try
+       Buffer.add_string buf "{}\n";
+       Sink.write sink buf;
+       false
+     with Invalid_argument _ -> true)
 
 let mkdir_p_cases () =
   let dir = temp_dir () in
@@ -451,6 +626,17 @@ let quantile_rejects_nan () =
        false
      with Invalid_argument _ -> true)
 
+let p50_p95_p99_cases () =
+  checkb "empty sample: all nan" true
+    (let a, b, c = Quantile.p50_p95_p99 [||] in
+     Float.is_nan a && Float.is_nan b && Float.is_nan c);
+  let sample = [| 3.0; 1.0; 4.0; 1.5; 9.0; 2.6 |] in
+  checkb "equals quantile per q" true
+    (Quantile.p50_p95_p99 sample
+    = ( Quantile.quantile sample ~q:0.5,
+        Quantile.quantile sample ~q:0.95,
+        Quantile.quantile sample ~q:0.99 ))
+
 let prop_quantiles_sound =
   QCheck.Test.make
     ~name:"quantiles are NaN-free, in-range, and order-preserving" ~count:500
@@ -499,6 +685,16 @@ let () =
           Alcotest.test_case "serialization" `Quick json_serialization;
           Alcotest.test_case "round trip" `Quick json_round_trip;
           Alcotest.test_case "jsonl sink" `Quick jsonl_sink;
+          Alcotest.test_case "jsonl sink raw write" `Quick jsonl_sink_write;
+          Alcotest.test_case "event writer equals event_json" `Quick
+            event_jsonl_matches_tree;
+          qtest
+            (prop_float_repr "float_repr equals the reference on random bits"
+               gen_float_bits);
+          qtest
+            (prop_float_repr "float_repr equals the reference on edge classes"
+               gen_float_edge);
+          qtest prop_escaped;
         ] );
       ( "fs",
         [
@@ -512,6 +708,7 @@ let () =
       ( "quantiles",
         [
           Alcotest.test_case "rejects NaN" `Quick quantile_rejects_nan;
+          Alcotest.test_case "latency tail" `Quick p50_p95_p99_cases;
           qtest prop_quantiles_sound;
         ] );
     ]
